@@ -2,9 +2,9 @@
 // the wall clock goes to the conventional ABC-style delay flow vs. e-graph
 // conversion vs. SA extraction, for both cost models.
 //
-// The per-stage times come from FlowObserver telemetry (on_stage_end), not
-// hand-inserted timers: the observer collects one StageTelemetry per
-// executed pipeline stage and folds them into the Fig. 9 buckets.
+// The per-stage times come from the pipeline's own telemetry
+// (FlowResult::telemetry), not hand-inserted timers: one StageTelemetry per
+// executed stage, folded into the Fig. 9 buckets.
 //
 // Shape target: the conventional flow dominates; conversion is negligible;
 // the E-morphic additions are moderate and relatively smaller on the
@@ -19,34 +19,34 @@ using namespace emorphic::bench;
 
 namespace {
 
-/// Accumulates the per-stage telemetry of one pipeline run.
-class TelemetryObserver : public FlowObserver {
- public:
-  void on_stage_end(const Stage&, const StageTelemetry& stage,
-                    const FlowContext&) override {
-    telemetry_.stages.push_back(stage);
-  }
-
-  EmorphicBreakdown breakdown() const { return breakdown_from(telemetry_); }
-
- private:
-  FlowTelemetry telemetry_;
+/// Fig. 9's runtime buckets of one E-morphic run.
+struct Breakdown {
+  double flow_seconds = 0.0;        // conventional optimization + mapping
+  double conversion_seconds = 0.0;  // DAG-to-DAG conversion (fwd + bwd)
+  double rewrite_seconds = 0.0;     // equality saturation
+  double sa_seconds = 0.0;          // SA extraction incl. QoR evaluations
 };
 
-EmorphicBreakdown run_with_telemetry(const Aig& circuit, const FlowParams& params,
-                                     const QorEvaluator* evaluator) {
-  TelemetryObserver observer;
+/// Runs the flow and folds its stage telemetry into the buckets:
+/// ResynRounds + TechMap count as the conventional flow, both
+/// EgraphConversion runs as conversion; Cec is excluded.
+Breakdown run_with_telemetry(const Aig& circuit, const FlowParams& params,
+                             const QorEvaluator* evaluator) {
   FlowContext ctx;
   ctx.params = params;
   ctx.input = circuit;
   ctx.evaluator = evaluator;
-  ctx.observer = &observer;
-  Pipeline::emorphic().run(ctx);
-  return observer.breakdown();
+  const FlowTelemetry t = Pipeline::emorphic(params).run(ctx).telemetry;
+  Breakdown b;
+  b.flow_seconds = t.seconds_for("ResynRounds") + t.seconds_for("TechMap");
+  b.conversion_seconds = t.seconds_for("EgraphConversion");
+  b.rewrite_seconds = t.seconds_for("Rewrite");
+  b.sa_seconds = t.seconds_for("SaExtract");
+  return b;
 }
 
 void print_breakdown(const char* title,
-                     const std::vector<std::pair<std::string, EmorphicBreakdown>>& rows) {
+                     const std::vector<std::pair<std::string, Breakdown>>& rows) {
   std::printf("%s\n", title);
   std::printf("%-10s %9s | %7s %7s %7s | 0%%       bar chart        100%%\n",
               "circuit", "total(s)", "flow%", "conv%", "SA%");
@@ -96,7 +96,7 @@ int main() {
   MlCostModel model(mp);
   model.train(all.features, all.delays, all.areas);
 
-  std::vector<std::pair<std::string, EmorphicBreakdown>> exact_rows, ml_rows;
+  std::vector<std::pair<std::string, Breakdown>> exact_rows, ml_rows;
   for (const auto& spec : epfl_specs()) {
     Aig circuit = make_epfl(spec.name);
     FlowParams p = params;

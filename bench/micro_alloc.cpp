@@ -159,7 +159,7 @@ Measurement bench_flow_steady() {
   Aig input = make_adder(6);
   WarmCache cache;
   FlowContext ctx;
-  Pipeline pipeline = Pipeline::emorphic();
+  Pipeline pipeline = Pipeline::emorphic(params);
   return measure(2, 4, [&] {
     ctx.params = params;
     cache.prepare(ctx);

@@ -49,9 +49,9 @@ int main() {
   params.sa.moves_per_iteration = 3;
   params.verify = false;
 
-  // Both modes run the same Pipeline::emorphic(); the cost model is the
-  // FlowContext's evaluator, and timings come from pipeline telemetry.
-  Pipeline pipeline = Pipeline::emorphic();
+  // Both modes run the same Pipeline::emorphic(params); the cost model is
+  // the FlowContext's evaluator, and timings come from pipeline telemetry.
+  Pipeline pipeline = Pipeline::emorphic(params);
 
   params.sa.num_threads = 4;  // quality-prioritized: 4 threads (Sec. IV-A)
   FlowResult exact = pipeline.run(circuit, params);

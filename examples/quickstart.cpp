@@ -45,13 +45,16 @@ int main() {
   params.sa.moves_per_iteration = 2;
 
   // 3. Run the prebuilt E-morphic pipeline (Fig. 5) with an observer.
-  //    Pipeline::emorphic() is ResynRounds -> EgraphConversion -> Rewrite ->
-  //    SaExtract -> EgraphConversion -> TechMap -> Cec; you can also compose
-  //    your own with Pipeline().add("..."), or call the one-line legacy
-  //    facade optimize() / emorphic_flow() instead.
-  std::printf("\nrunning Pipeline::emorphic():\n");
+  //    Pipeline::emorphic(params) is ResynRounds -> EgraphConversion ->
+  //    Rewrite -> SaExtract -> EgraphConversion -> TechMap -> Cec, built
+  //    from the same params the run uses (flags such as use_lutmap or
+  //    fraig_post change the stage list). You can also compose your own
+  //    with Pipeline().add("..."). For the ML cost model, run a FlowContext
+  //    with ctx.evaluator set (see ml_cost_model.cpp).
+  std::printf("\nrunning Pipeline::emorphic(params):\n");
   PrintingObserver observer;
-  FlowResult result = Pipeline::emorphic().run(circuit, params, &observer);
+  FlowResult result =
+      Pipeline::emorphic(params).run(circuit, params, &observer);
 
   // 4. Inspect the results.
   std::printf("\ne-graph: %zu e-nodes grown from %zu (%zu classes)\n",

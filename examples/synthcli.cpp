@@ -10,6 +10,8 @@
 // success); 2 the server rejected or failed the job (typed error frame);
 // 3 the job was cancelled/deadline-expired (plain submit only).
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,7 +42,7 @@ int usage(const char* argv0) {
       "  --gen NAME:BITS   generated circuit (adder, mult, square, arbiter)\n"
       "  --file PATH       circuit file (AIGER 'aag' or .eqn)\n"
       "  --flow NAME       flow to run (default emorphic)\n"
-      "  --seed N          per-job seed (default 1)\n"
+      "  --seed N          per-job seed in [0, 2^53] (default 1)\n"
       "  --deadline S      end-to-end deadline in seconds\n"
       "  --params JSON     FlowParams overrides, e.g. '{\"rounds\":2}'\n"
       "  --id ID           job id (default job-1)\n"
@@ -146,7 +148,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--seed") == 0) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
-      request.seed = static_cast<std::uint64_t>(std::atoll(v));
+      // Checked: a sign, blank, trailing junk or overflow is an error, not
+      // a silently different seed.
+      char* end = nullptr;
+      errno = 0;
+      request.seed = std::strtoull(v, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+          errno != 0) {
+        std::fprintf(stderr, "bad --seed '%s'\n", v);
+        return 2;
+      }
     } else if (std::strcmp(arg, "--deadline") == 0) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);

@@ -2,48 +2,6 @@
 
 namespace emorphic {
 
-namespace {
-
-/// Self-training for runtime-prioritized mode without a supplied model:
-/// sample structural variants of the input, label them with the exact
-/// mapper, and fit the MLP — the single-circuit analogue of Sec. IV-D's
-/// OpenABC-D fine-tuning.
-MlCostModel train_on_input(const Aig& input, const FlowParams& flow) {
-  DatasetParams dp;
-  dp.variants_per_circuit = 48;
-  dp.rewrite.max_iterations = 3;
-  dp.rewrite.max_enodes = 40000;
-  dp.rewrite.time_limit_s = 5.0;
-  dp.mapping.area_recovery = false;
-  dp.mapping.num_cuts = 4;
-  Dataset data = generate_variants(input, *flow.library, dp);
-
-  MlpParams mp;
-  mp.epochs = 120;
-  MlCostModel model(mp);
-  model.train(data.features, data.delays, data.areas);
-  return model;
-}
-
-}  // namespace
-
-EmorphicResult optimize(const Aig& input, const EmorphicOptions& options) {
-  // emorphic_flow is itself a shim over Pipeline::emorphic(); this facade
-  // only picks the cost model and thread budget.
-  FlowParams flow = options.flow;
-  if (options.mode == CostModelMode::kQualityPrioritized) {
-    return emorphic_flow(input, flow);
-  }
-  if (options.runtime_sa_threads > 0) {
-    flow.sa.num_threads = options.runtime_sa_threads;
-  }
-  if (options.ml_model != nullptr) {
-    return emorphic_flow(input, flow, options.ml_model);
-  }
-  MlCostModel model = train_on_input(input, flow);
-  return emorphic_flow(input, flow, &model);
-}
-
 const char* version() { return "emorphic 1.0.0 (DAC'25 reproduction)"; }
 
 }  // namespace emorphic

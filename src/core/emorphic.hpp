@@ -1,12 +1,8 @@
 #pragma once
-// E-morphic public facade: one call that runs the whole pipeline of Fig. 5 —
-// technology-independent optimization, direct DAG-to-DAG e-graph conversion,
-// a few equality-saturation iterations, parallel simulated-annealing
-// extraction under a pluggable cost model, final mapping, and equivalence
-// checking.
-//
-// This header is also the library umbrella: including it pulls in every
-// public subsystem.
+// Library umbrella: including this header pulls in every public subsystem.
+// The E-morphic flow of Fig. 5 itself is `Pipeline::emorphic(params)` in
+// flow/pipeline.hpp; pass an ML cost model through FlowContext::evaluator
+// for the runtime-prioritized mode.
 
 #include "aig/aig.hpp"
 #include "aig/aig_io.hpp"
@@ -22,7 +18,6 @@
 #include "extract/sa_extractor.hpp"
 #include "flow/batch.hpp"
 #include "flow/conversion.hpp"
-#include "flow/flows.hpp"
 #include "flow/pipeline.hpp"
 #include "mapper/genlib.hpp"
 #include "mapper/tech_mapper.hpp"
@@ -31,30 +26,6 @@
 #include "opt/resyn.hpp"
 
 namespace emorphic {
-
-/// Which cost model scores candidate extractions (Sec. III-C).
-enum class CostModelMode {
-  kQualityPrioritized,  // fast rough technology mapping (exact metric)
-  kRuntimePrioritized,  // ML prediction (fast, approximate)
-};
-
-struct EmorphicOptions {
-  FlowParams flow;
-  CostModelMode mode = CostModelMode::kQualityPrioritized;
-  /// Pre-trained model for runtime-prioritized mode. When null, a model is
-  /// trained on the fly from structural variants of the input circuit
-  /// (a miniature of the paper's OpenABC-D fine-tuning).
-  const MlCostModel* ml_model = nullptr;
-  /// SA thread count for runtime-prioritized mode; 0 honors
-  /// flow.sa.num_threads. The paper compensates the weaker cost signal with
-  /// 6 threads instead of 4 (Sec. IV-A) — set 6 here to reproduce that.
-  /// (Earlier versions bumped to 6 silently; batch callers have the same
-  /// knob as BatchParams::sa_threads.)
-  unsigned runtime_sa_threads = 0;
-};
-
-/// Run the full E-morphic flow on `input`.
-EmorphicResult optimize(const Aig& input, const EmorphicOptions& options = {});
 
 /// Library version string.
 const char* version();

@@ -3,18 +3,11 @@
 #include <algorithm>
 #include <thread>
 
+#include "util/hash.hpp"
+
 namespace emorphic {
 
 namespace {
-
-/// splitmix64 (Vigna): decorrelates consecutive indices into independent
-/// seeds, so circuit i's SA chains never overlap circuit i+1's.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t circuit_seed(std::uint64_t base_seed, std::size_t index) {
   std::uint64_t seed = splitmix64(base_seed ^ splitmix64(index + 1));
@@ -36,20 +29,14 @@ BatchResult run_batch(std::span<const Aig> inputs, const Pipeline& pipeline,
     return result;
   }
 
-  FlowParams shared = params;
-  if (batch.sa_threads > 0) shared.sa.num_threads = batch.sa_threads;
-  if (batch.match_threads > 0) {
-    shared.rewrite.match_threads = batch.match_threads;
-  }
-
   // One thread-safe matcher serves every worker: the library is canonized
   // once per batch and the match cache warms across circuits. With a
   // WarmCache it is canonized once per *process* instead, and the QoR memo
   // carries over between batches too.
   std::shared_ptr<const Matcher> matcher =
       batch.warm_cache != nullptr
-          ? batch.warm_cache->matcher_for(*shared.library)
-          : std::make_shared<const Matcher>(*shared.library);
+          ? batch.warm_cache->matcher_for(*params.library)
+          : std::make_shared<const Matcher>(*params.library);
 
   unsigned workers = batch.num_threads;
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
@@ -59,7 +46,7 @@ BatchResult run_batch(std::span<const Aig> inputs, const Pipeline& pipeline,
   ThreadPool pool(workers);
   pool.parallel_for(inputs.size(), [&](std::size_t i) {
     FlowContext ctx;
-    ctx.params = shared;
+    ctx.params = params;
     ctx.matcher = matcher;
     if (batch.warm_cache != nullptr) batch.warm_cache->prepare(ctx);
     ctx.input = inputs[i];

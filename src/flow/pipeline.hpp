@@ -7,8 +7,7 @@
 // shared `FlowContext`. A `Pipeline` is an ordered list of stages; running it
 // produces a `FlowResult` with per-stage telemetry. A `FlowObserver` receives
 // begin/end events for the flow and each stage, plus fine-grained progress
-// from the rewriting runner (per iteration) and the SA extractor (per move) —
-// this subsumes the old hand-inserted timers behind `EmorphicBreakdown`.
+// from the rewriting runner (per iteration) and the SA extractor (per move).
 //
 // Stages are stateless and re-entrant: all mutable state lives in the
 // FlowContext, so one Pipeline instance can drive many circuits concurrently
@@ -99,11 +98,9 @@ struct FlowParams {
   FraigParams fraig;
   /// Opt-in fraig placement for the prebuilt flows: `fraig_pre` sweeps the
   /// input before any optimization, `fraig_post` sweeps the optimized
-  /// network right before the final mapping. Honored by the
+  /// network right before the final mapping. Read by the
   /// `Pipeline::baseline(params)` / `Pipeline::emorphic(params)` factories
-  /// (and therefore by `baseline_flow`/`emorphic_flow` and any `run_batch`
-  /// over those pipelines); the no-argument factories keep the historical
-  /// stage lists.
+  /// when they build the stage list.
   bool fraig_pre = false;
   bool fraig_post = false;
   /// Choice export configuration for the "choicemap" stage: ring cap and
@@ -459,7 +456,7 @@ class TechMapStage : public Stage {
 
 /// SAT-backed combinational equivalence check of ctx.current against
 /// ctx.input (no-op unless params.verify). Its runtime is excluded from
-/// FlowQor::seconds, matching the legacy flows.
+/// FlowQor::seconds, which is the optimization time only.
 class CecStage : public Stage {
  public:
   const char* name() const override { return "Cec"; }
@@ -573,25 +570,22 @@ class Pipeline {
   FlowResult run(const Aig& input, const FlowParams& params = {},
                  FlowObserver* observer = nullptr) const;
 
-  /// The conventional delay-oriented flow of [22]:
-  /// ResynRounds; TechMap.
-  static Pipeline baseline();
+  /// The conventional delay-oriented flow of [22]: ResynRounds; TechMap.
+  static Pipeline baseline(const FlowParams& params);
 
   /// The paper's Fig. 5 flow: ResynRounds (all but the last round);
   /// EgraphConversion (fwd); Rewrite; SaExtract; EgraphConversion (bwd);
   /// TechMap (resynth-gated final round); Cec.
-  static Pipeline emorphic();
-
-  /// baseline()/emorphic() with the opt-in placements applied:
-  /// `params.fraig_pre` inserts a "fraig" stage before everything,
-  /// `params.fraig_post` right before the final TechMap, and
-  /// `params.use_choicemap` (emorphic only) swaps the backward
+  ///
+  /// Both factories read the stage-list flags of `params`, so build the
+  /// pipeline from the same params the run uses: `fraig_pre` inserts a
+  /// "fraig" stage before everything, `fraig_post` one right before the
+  /// final TechMap, `use_choicemap` (emorphic only) swaps the backward
   /// EgraphConversion + TechMap pair for the choice-aware "choicemap"
-  /// stage. `params.use_lutmap` swaps the final cell mapping for the
-  /// "lutmap" stage (combined with use_choicemap, one lutmap stage
-  /// consumes the e-graph choice-aware). With all flags false these
-  /// return the plain pipelines.
-  static Pipeline baseline(const FlowParams& params);
+  /// stage, `use_lutmap` swaps the final cell mapping for the "lutmap"
+  /// stage (combined with use_choicemap, one lutmap stage consumes the
+  /// e-graph choice-aware), and `partition` (emorphic only) runs windowed
+  /// saturation instead of the whole-circuit body.
   static Pipeline emorphic(const FlowParams& params);
 
  private:

@@ -11,6 +11,7 @@
 #include "egraph/snapshot.hpp"
 #include "flow/batch.hpp"
 #include "flow/pipeline.hpp"
+#include "util/hash.hpp"
 
 namespace emorphic {
 
@@ -29,13 +30,6 @@ constexpr std::uint64_t kCheckpointVersion = 1;
 constexpr std::uint8_t kRejectedQor = 0;
 constexpr std::uint8_t kAdopted = 1;
 constexpr std::uint8_t kRejectedCec = 2;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
   return splitmix64(h ^ splitmix64(v));
@@ -377,7 +371,6 @@ PartitionResult partition_optimize(const Aig& input,
     BatchParams batch;
     batch.num_threads = params.num_threads;
     batch.base_seed = chunk_seed(params.seed, c);
-    batch.sa_threads = 1;
     batch.cancel = params.cancel;
     batch.warm_cache = params.warm_cache;
     BatchResult br = run_batch(subs, window_pipeline, window_params, batch);

@@ -1,5 +1,7 @@
 #include "service/protocol.hpp"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "aig/cut.hpp"
@@ -17,10 +19,24 @@ double expect_number(const Json& value, const std::string& key) {
   return value.as_number();
 }
 
-unsigned expect_unsigned(const Json& value, const std::string& key) {
+/// Largest integer a JSON number (an IEEE double) carries exactly: 2^53.
+constexpr std::uint64_t kMaxJsonInteger = std::uint64_t{1} << 53;
+
+/// An integral number in [0, max], checked before any cast: a fractional,
+/// negative or oversized double has no faithful (or defined) conversion.
+std::uint64_t expect_integer(const Json& value, const std::string& key,
+                             std::uint64_t max) {
   double n = expect_number(value, key);
-  if (n < 0) bad("field '" + key + "' must be non-negative");
-  return static_cast<unsigned>(n);
+  if (!(n >= 0 && n <= static_cast<double>(max)) || n != std::floor(n)) {
+    bad("field '" + key + "' must be an integer in [0, " +
+        std::to_string(max) + "]");
+  }
+  return static_cast<std::uint64_t>(n);
+}
+
+unsigned expect_unsigned(const Json& value, const std::string& key) {
+  return static_cast<unsigned>(
+      expect_integer(value, key, std::numeric_limits<unsigned>::max()));
 }
 
 bool expect_bool(const Json& value, const std::string& key) {
@@ -68,6 +84,10 @@ Json JobRequest::to_json() const {
   msg["format"] = format;
   msg["circuit"] = circuit;
   msg["flow"] = flow;
+  if (seed > kMaxJsonInteger) {
+    bad("seed " + std::to_string(seed) +
+        " exceeds 2^53, the largest integer a JSON number carries exactly");
+  }
   msg["seed"] = seed;
   msg["deadline_s"] = deadline_s;
   msg["return_circuit"] = return_circuit;
@@ -97,7 +117,7 @@ JobRequest JobRequest::from_json(const Json& msg) {
     } else if (key == "flow") {
       req.flow = expect_string(value, key);
     } else if (key == "seed") {
-      req.seed = static_cast<std::uint64_t>(expect_number(value, key));
+      req.seed = expect_integer(value, key, kMaxJsonInteger);
     } else if (key == "deadline_s") {
       req.deadline_s = expect_number(value, key);
       if (req.deadline_s < 0) bad("field 'deadline_s' must be non-negative");

@@ -42,7 +42,8 @@ struct JobRequest {
   std::string circuit;             // the circuit text itself
   std::string flow = "emorphic";   // registered flow name
   /// Per-job seed for stochastic stages (FlowContext::seed; 0 keeps the
-  /// pipeline default).
+  /// pipeline default). At most 2^53, the largest integer a JSON number
+  /// carries exactly: to_json throws std::invalid_argument above it.
   std::uint64_t seed = 1;
   /// End-to-end deadline in seconds, *including* queue wait; 0 = none.
   /// Expiry yields a "cancelled" frame with reason "deadline".
@@ -57,7 +58,8 @@ struct JobRequest {
 
   Json to_json() const;
   /// Parse a "submit" message; throws std::invalid_argument on missing or
-  /// ill-typed fields and on unknown keys (strict protocol v1).
+  /// ill-typed fields (a seed must be an integer in [0, 2^53]) and on
+  /// unknown keys (strict protocol v1).
   static JobRequest from_json(const Json& msg);
 };
 
@@ -68,9 +70,10 @@ struct JobRequest {
 ///             initial_temperature}
 ///   rewrite: {max_iterations, max_enodes, time_limit_s, match_threads}
 ///   mapping: {cut_size, num_cuts, area_recovery}
-/// Throws std::invalid_argument on an unknown key, an ill-typed value, or
-/// an out-of-range lut_size (the LUT backend's [2, kMaxCutSize] contract),
-/// naming the offender — the server maps this to ErrorCode::kBadParams.
+/// Throws std::invalid_argument on an unknown key, an ill-typed value, a
+/// count that is not an integer in [0, 2^32 - 1], or an out-of-range
+/// lut_size (the LUT backend's [2, kMaxCutSize] contract), naming the
+/// offender — the server maps this to ErrorCode::kBadParams.
 /// Any accepted key lands in the params fingerprint via the overrides
 /// object itself, so e.g. a use_lutmap job can never alias a cell-mapped
 /// job in the flow-result cache.

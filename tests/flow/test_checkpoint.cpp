@@ -61,7 +61,7 @@ TEST(RewriteCheckpoint, ResumeMatchesUninterruptedRun) {
   FlowParams params = checkpoint_params();
 
   // Reference: straight through, no checkpointing.
-  FlowResult straight = Pipeline::emorphic().run(input, params);
+  FlowResult straight = Pipeline::emorphic(params).run(input, params);
   ASSERT_FALSE(straight.cancelled);
   std::string want = write_aiger(straight.final_aig);
 
@@ -76,7 +76,7 @@ TEST(RewriteCheckpoint, ResumeMatchesUninterruptedRun) {
   ctx.input = input;
   ctx.observer = &observer;
   ctx.cancel = &cancel;
-  FlowResult killed = Pipeline::emorphic().run(ctx);
+  FlowResult killed = Pipeline::emorphic(ctx.params).run(ctx);
   EXPECT_TRUE(killed.cancelled);
   {
     std::ifstream in(path, std::ios::binary);
@@ -87,7 +87,7 @@ TEST(RewriteCheckpoint, ResumeMatchesUninterruptedRun) {
   // Rewrite stage restores the snapshot and runs only the remaining
   // iterations; everything downstream is a deterministic function of the
   // e-graph, so the final netlist must be byte-identical.
-  FlowResult resumed = Pipeline::emorphic().run(input, params);
+  FlowResult resumed = Pipeline::emorphic(params).run(input, params);
   ASSERT_FALSE(resumed.cancelled);
   EXPECT_EQ(write_aiger(resumed.final_aig), want);
   EXPECT_DOUBLE_EQ(resumed.qor.area, straight.qor.area);
@@ -101,11 +101,11 @@ TEST(RewriteCheckpoint, CompletedCheckpointRestoresWithoutIterating) {
   std::string path = temp_path("complete");
   params.checkpoint_path = path;
 
-  FlowResult first = Pipeline::emorphic().run(input, params);
+  FlowResult first = Pipeline::emorphic(params).run(input, params);
   ASSERT_FALSE(first.cancelled);
   // Second run restores the final snapshot and re-runs at most one
   // (no-op, if the first run saturated early) iteration — same answer.
-  FlowResult second = Pipeline::emorphic().run(input, params);
+  FlowResult second = Pipeline::emorphic(params).run(input, params);
   EXPECT_EQ(write_aiger(second.final_aig), write_aiger(first.final_aig));
   EXPECT_LE(second.rewrite_report.iterations.size(),
             first.rewrite_report.iterations.size());
@@ -116,14 +116,14 @@ TEST(RewriteCheckpoint, FingerprintMismatchThrows) {
   std::string path = temp_path("fingerprint");
   FlowParams params = checkpoint_params();
   params.checkpoint_path = path;
-  ASSERT_FALSE(Pipeline::emorphic().run(make_adder(6), params).cancelled);
+  const Pipeline pipeline = Pipeline::emorphic(params);
+  ASSERT_FALSE(pipeline.run(make_adder(6), params).cancelled);
   // A different circuit under the same checkpoint path must be refused.
-  EXPECT_THROW(Pipeline::emorphic().run(make_arbiter(6), params),
-               SnapshotError);
+  EXPECT_THROW(pipeline.run(make_arbiter(6), params), SnapshotError);
   // So must the same circuit under different saturation limits.
   FlowParams other = params;
   other.rewrite.max_enodes += 1;
-  EXPECT_THROW(Pipeline::emorphic().run(make_adder(6), other), SnapshotError);
+  EXPECT_THROW(pipeline.run(make_adder(6), other), SnapshotError);
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,7 @@
 // Tests for the composable Pipeline API: stage registry, stage ordering and
 // context threading, observer event counts, cancellation (between stages and
-// mid-SA), time budgets, and run_batch determinism.
+// mid-SA), time budgets, run_batch determinism, and the QoR/equivalence
+// contract of the prebuilt baseline and E-morphic flows.
 
 #include "flow/pipeline.hpp"
 
@@ -16,9 +17,8 @@
 #include "../test_helpers.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
-#include "core/emorphic.hpp"  // optimize() facade
 #include "flow/batch.hpp"
-#include "flow/flows.hpp"  // EmorphicBreakdown / breakdown_from
+#include "ml/cost_model.hpp"
 
 namespace emorphic {
 namespace {
@@ -135,8 +135,9 @@ TEST(Pipeline, StagesValidateTheirInputs) {
 
 TEST(Pipeline, ObserverEventCounts) {
   CountingObserver observer;
+  const FlowParams params = quick_params();
   FlowResult result =
-      Pipeline::emorphic().run(make_arbiter(6), quick_params(), &observer);
+      Pipeline::emorphic(params).run(make_arbiter(6), params, &observer);
 
   EXPECT_EQ(observer.flow_begin, 1);
   EXPECT_EQ(observer.flow_end, 1);
@@ -151,16 +152,28 @@ TEST(Pipeline, ObserverEventCounts) {
   EXPECT_GE(observer.telemetry_seconds, result.qor.seconds);
 }
 
+/// Fig. 9's four runtime buckets, folded from per-stage telemetry:
+/// conventional flow (ResynRounds + TechMap), conversion (both
+/// EgraphConversion runs), rewriting, SA extraction. Cec is excluded.
+struct Fig9Buckets {
+  double flow, conversion, rewrite, sa;
+  explicit Fig9Buckets(const FlowTelemetry& t)
+      : flow(t.seconds_for("ResynRounds") + t.seconds_for("TechMap")),
+        conversion(t.seconds_for("EgraphConversion")),
+        rewrite(t.seconds_for("Rewrite")),
+        sa(t.seconds_for("SaExtract")) {}
+  double sum() const { return flow + conversion + rewrite + sa; }
+};
+
 TEST(Pipeline, TelemetryMatchesBreakdownBuckets) {
-  FlowResult result = Pipeline::emorphic().run(make_adder(6), quick_params());
-  EmorphicBreakdown breakdown = breakdown_from(result.telemetry);
-  EXPECT_GT(breakdown.flow_seconds, 0.0);
-  EXPECT_GT(breakdown.conversion_seconds, 0.0);
-  EXPECT_GT(breakdown.rewrite_seconds, 0.0);
-  EXPECT_GT(breakdown.sa_seconds, 0.0);
-  double sum = breakdown.flow_seconds + breakdown.conversion_seconds +
-               breakdown.rewrite_seconds + breakdown.sa_seconds;
-  EXPECT_DOUBLE_EQ(sum, result.qor.seconds);
+  const FlowParams params = quick_params();
+  FlowResult result = Pipeline::emorphic(params).run(make_adder(6), params);
+  Fig9Buckets buckets(result.telemetry);
+  EXPECT_GT(buckets.flow, 0.0);
+  EXPECT_GT(buckets.conversion, 0.0);
+  EXPECT_GT(buckets.rewrite, 0.0);
+  EXPECT_GT(buckets.sa, 0.0);
+  EXPECT_DOUBLE_EQ(buckets.sum(), result.qor.seconds);
 }
 
 TEST(Pipeline, CancellationBetweenStages) {
@@ -186,7 +199,7 @@ TEST(Pipeline, CancellationBetweenStages) {
   ctx.input = make_adder(6);
   ctx.observer = &observer;
   ctx.cancel = &cancel;
-  FlowResult result = Pipeline::emorphic().run(ctx);
+  FlowResult result = Pipeline::emorphic(ctx.params).run(ctx);
 
   EXPECT_TRUE(result.cancelled);
   EXPECT_EQ(result.stop_reason, FlowStopReason::kCancelled);
@@ -222,7 +235,7 @@ TEST(Pipeline, CancellationMidSaExtract) {
   ctx.input = make_arbiter(6);
   ctx.observer = &observer;
   ctx.cancel = &cancel;
-  FlowResult result = Pipeline::emorphic().run(ctx);
+  FlowResult result = Pipeline::emorphic(ctx.params).run(ctx);
 
   EXPECT_TRUE(result.cancelled);
   EXPECT_EQ(result.stop_reason, FlowStopReason::kCancelled);
@@ -236,7 +249,7 @@ TEST(Pipeline, TimeBudgetStopsImmediately) {
   ctx.params = quick_params();
   ctx.input = make_adder(6);
   ctx.time_budget_s = 1e-9;
-  FlowResult result = Pipeline::emorphic().run(ctx);
+  FlowResult result = Pipeline::emorphic(ctx.params).run(ctx);
   EXPECT_TRUE(result.cancelled);
   EXPECT_EQ(result.stop_reason, FlowStopReason::kDeadline);
   EXPECT_TRUE(result.telemetry.stages.empty());
@@ -278,12 +291,12 @@ TEST(Pipeline, StopReasonResetsBetweenRuns) {
   ctx.params = quick_params();
   ctx.input = make_adder(4);
   ctx.cancel = &cancel;
-  FlowResult stopped = Pipeline::emorphic().run(ctx);
+  FlowResult stopped = Pipeline::emorphic(ctx.params).run(ctx);
   EXPECT_TRUE(stopped.cancelled);
   EXPECT_EQ(stopped.stop_reason, FlowStopReason::kCancelled);
 
   cancel.store(false);
-  FlowResult clean = Pipeline::emorphic().run(ctx);
+  FlowResult clean = Pipeline::emorphic(ctx.params).run(ctx);
   EXPECT_FALSE(clean.cancelled);
   EXPECT_EQ(clean.stop_reason, FlowStopReason::kNone);
   EXPECT_STREQ(to_string(clean.stop_reason), "none");
@@ -295,7 +308,7 @@ TEST(Pipeline, ContextIsReusableAcrossRuns) {
   FlowContext ctx;
   ctx.params = quick_params();
   ctx.input = make_adder(5);
-  Pipeline pipeline = Pipeline::emorphic();
+  Pipeline pipeline = Pipeline::emorphic(ctx.params);
   FlowResult first = pipeline.run(ctx);
   FlowResult second = pipeline.run(ctx);
   EXPECT_GT(second.qor.area, 0.0);
@@ -305,16 +318,67 @@ TEST(Pipeline, ContextIsReusableAcrossRuns) {
   EXPECT_FALSE(second.cancelled);
 }
 
-TEST(Pipeline, BaselinePipelineMatchesLegacyShape) {
+TEST(Pipeline, BaselineProducesValidEquivalentMapping) {
   Aig mult = make_multiplier(6);
-  FlowResult result = Pipeline::baseline().run(mult, quick_params());
+  const FlowParams params = quick_params();
+  FlowResult result = Pipeline::baseline(params).run(mult, params);
   EXPECT_GT(result.qor.area, 0.0);
   EXPECT_GT(result.qor.delay, 0.0);
+  EXPECT_GT(result.qor.lev, 0u);
   ASSERT_TRUE(result.netlist.has_value());
   EXPECT_TRUE(testing::functionally_equal(mult, result.netlist->to_aig()));
+  EXPECT_EQ(cec(mult, result.final_aig).status, CecStatus::kEquivalent);
   // The baseline pipeline never touches the e-graph machinery.
   EXPECT_EQ(result.initial_enodes, 0u);
   EXPECT_TRUE(result.sa.trace.empty());
+}
+
+TEST(Pipeline, BaselineImprovesDelayOverDirectMap) {
+  Aig mult = make_multiplier(8);
+  const FlowParams params = quick_params();
+  MappedQor direct = map_qor(mult, *params.library, params.mapping);
+  FlowResult optimized = Pipeline::baseline(params).run(mult, params);
+  EXPECT_LT(optimized.qor.delay, direct.delay);
+}
+
+TEST(Pipeline, EmorphicIsEquivalentAndComplete) {
+  Aig arbiter = make_arbiter(8);
+  FlowParams params = quick_params();
+  params.verify = true;
+  FlowResult result = Pipeline::emorphic(params).run(arbiter, params);
+  EXPECT_EQ(result.verify_status, CecStatus::kEquivalent);
+  EXPECT_GT(result.qor.area, 0.0);
+  EXPECT_GT(result.qor.delay, 0.0);
+  // Telemetry covers every Fig. 9 bucket.
+  Fig9Buckets buckets(result.telemetry);
+  EXPECT_GT(buckets.flow, 0.0);
+  EXPECT_GT(buckets.conversion, 0.0);
+  EXPECT_GT(buckets.rewrite, 0.0);
+  EXPECT_GT(buckets.sa, 0.0);
+  // Rewriting must have multiplied the e-graph.
+  EXPECT_GT(result.egraph_enodes, result.initial_enodes);
+}
+
+TEST(Pipeline, EmorphicNeverMuchWorseThanBaselineOnDelay) {
+  // SA is stochastic, but the e-graph contains (at least) the baseline
+  // structure, so with the exact cost model the final mapped delay should
+  // stay in the baseline's neighborhood.
+  Aig sqrt_c = make_sqrt(8);
+  const FlowParams params = quick_params();
+  FlowResult base = Pipeline::baseline(params).run(sqrt_c, params);
+  FlowResult em = Pipeline::emorphic(params).run(sqrt_c, params);
+  EXPECT_LT(em.qor.delay, base.qor.delay * 1.25);
+}
+
+TEST(Pipeline, MapEvaluatorCostIsDelayPlusWeightedArea) {
+  MapQorEvaluator eval(CellLibrary::asap7_like(), 0.25);
+  Aig adder = make_adder(6);
+  Qor qor = eval.evaluate(adder);
+  EXPECT_GT(qor.area, 0.0);
+  EXPECT_DOUBLE_EQ(eval.cost(qor), qor.delay + 0.25 * qor.area);
+  // Zero weight degenerates to the pure-delay objective.
+  MapQorEvaluator delay_only(CellLibrary::asap7_like(), 0.0);
+  EXPECT_DOUBLE_EQ(delay_only.cost(qor), qor.delay);
 }
 
 TEST(RunBatch, DeterministicAcrossRunsAndWorkerCounts) {
@@ -324,12 +388,12 @@ TEST(RunBatch, DeterministicAcrossRunsAndWorkerCounts) {
   circuits.push_back(make_adder(6));
 
   FlowParams params = quick_params();
-  Pipeline pipeline = Pipeline::emorphic();
+  params.sa.num_threads = 1;
+  Pipeline pipeline = Pipeline::emorphic(params);
 
   BatchParams two_workers;
   two_workers.base_seed = 7;
   two_workers.num_threads = 2;
-  two_workers.sa_threads = 1;
   BatchResult first = run_batch(circuits, pipeline, params, two_workers);
   BatchResult second = run_batch(circuits, pipeline, params, two_workers);
   BatchParams one_worker = two_workers;
@@ -359,10 +423,11 @@ TEST(RunBatch, SeedsDifferPerCircuit) {
   circuits.push_back(make_adder(6));
 
   FlowParams params = quick_params();
+  params.sa.num_threads = 1;
   BatchParams batch;
   batch.base_seed = 3;
-  batch.sa_threads = 1;
-  BatchResult result = run_batch(circuits, Pipeline::emorphic(), params, batch);
+  BatchResult result =
+      run_batch(circuits, Pipeline::emorphic(params), params, batch);
   ASSERT_EQ(result.results.size(), 2u);
   // The SA traces of the two runs should diverge (same circuit, different
   // seed). Cost sequences are a robust fingerprint of the RNG stream.
@@ -393,14 +458,14 @@ TEST(RunBatch, ObserverSeesAllCircuits) {
   BatchObserver observer;
   BatchParams batch;
   batch.num_threads = 2;
-  batch.sa_threads = 1;
-  run_batch(circuits, Pipeline::baseline(), quick_params(), batch, &observer);
+  const FlowParams params = quick_params();
+  run_batch(circuits, Pipeline::baseline(params), params, batch, &observer);
   std::sort(observer.indices.begin(), observer.indices.end());
   EXPECT_EQ(observer.indices, (std::vector<std::size_t>{0, 1}));
 }
 
-TEST(Optimize, RuntimePrioritizedHonorsConfiguredSaThreads) {
-  // A minimally-trained model: the facade only needs evaluate() to work.
+TEST(Pipeline, MlEvaluatorHonorsConfiguredSaThreads) {
+  // A minimally-trained model: the flow only needs evaluate() to work.
   std::vector<FeatureVector> features;
   std::vector<double> delays, areas;
   for (unsigned bits : {3u, 4u, 5u}) {
@@ -413,29 +478,20 @@ TEST(Optimize, RuntimePrioritizedHonorsConfiguredSaThreads) {
   MlCostModel model(mp);
   model.train(features, delays, areas);
 
-  EmorphicOptions options;
-  options.mode = CostModelMode::kRuntimePrioritized;
-  options.ml_model = &model;
-  options.flow = quick_params();
-  options.flow.sa.num_threads = 2;
-
-  // Default: flow.sa.num_threads is honored (no silent bump to 6).
-  EmorphicResult honored = optimize(make_adder(5), options);
+  // Runtime-prioritized mode is the ML model as the context's evaluator;
+  // sa.num_threads is honored as configured (no silent bump to 6).
+  FlowContext ctx;
+  ctx.params = quick_params();
+  ctx.params.sa.num_threads = 2;
+  ctx.input = make_adder(5);
+  ctx.evaluator = &model;
+  FlowResult result = Pipeline::emorphic(ctx.params).run(ctx);
   unsigned max_thread = 0;
-  ASSERT_FALSE(honored.sa.trace.empty());
-  for (const SaTracePoint& pt : honored.sa.trace) {
+  ASSERT_FALSE(result.sa.trace.empty());
+  for (const SaTracePoint& pt : result.sa.trace) {
     max_thread = std::max(max_thread, pt.thread);
   }
-  EXPECT_LT(max_thread, 2u);
-
-  // The paper's bump is an explicit knob now.
-  options.runtime_sa_threads = 3;
-  EmorphicResult bumped = optimize(make_adder(5), options);
-  max_thread = 0;
-  for (const SaTracePoint& pt : bumped.sa.trace) {
-    max_thread = std::max(max_thread, pt.thread);
-  }
-  EXPECT_EQ(max_thread, 2u);  // chains 0..2 ran
+  EXPECT_EQ(max_thread, 1u);  // chains 0..1 ran
 }
 
 TEST(RunBatch, SharedCancellationFlag) {
@@ -445,8 +501,9 @@ TEST(RunBatch, SharedCancellationFlag) {
   BatchParams batch;
   batch.cancel = &cancel;
   batch.num_threads = 2;
+  const FlowParams params = quick_params();
   BatchResult result =
-      run_batch(circuits, Pipeline::emorphic(), quick_params(), batch);
+      run_batch(circuits, Pipeline::emorphic(params), params, batch);
   for (const FlowResult& r : result.results) {
     EXPECT_TRUE(r.cancelled);
     EXPECT_TRUE(r.telemetry.stages.empty());

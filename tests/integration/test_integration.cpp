@@ -25,22 +25,10 @@ FlowParams quick_params() {
 
 TEST(Integration, QualityModeOnAdder) {
   Aig adder = make_adder(8);
-  EmorphicOptions options;
-  options.flow = quick_params();
-  options.mode = CostModelMode::kQualityPrioritized;
-  EmorphicResult result = optimize(adder, options);
+  const FlowParams params = quick_params();
+  FlowResult result = Pipeline::emorphic(params).run(adder, params);
   EXPECT_EQ(result.verify_status, CecStatus::kEquivalent);
   EXPECT_GT(result.qor.delay, 0.0);
-}
-
-TEST(Integration, RuntimeModeSelfTrains) {
-  Aig mult = make_multiplier(6);
-  EmorphicOptions options;
-  options.flow = quick_params();
-  options.flow.verify = true;
-  options.mode = CostModelMode::kRuntimePrioritized;
-  EmorphicResult result = optimize(mult, options);
-  EXPECT_EQ(result.verify_status, CecStatus::kEquivalent);
 }
 
 TEST(Integration, RuntimeModeWithPretrainedModel) {
@@ -55,11 +43,12 @@ TEST(Integration, RuntimeModeWithPretrainedModel) {
   MlCostModel model(mp);
   model.train(data.features, data.delays, data.areas);
 
-  EmorphicOptions options;
-  options.flow = quick_params();
-  options.mode = CostModelMode::kRuntimePrioritized;
-  options.ml_model = &model;
-  EmorphicResult result = optimize(circuit, options);
+  // Runtime-prioritized mode: the ML model scores SA candidates.
+  FlowContext ctx;
+  ctx.params = quick_params();
+  ctx.input = circuit;
+  ctx.evaluator = &model;
+  FlowResult result = Pipeline::emorphic(ctx.params).run(ctx);
   EXPECT_EQ(result.verify_status, CecStatus::kEquivalent);
 }
 
@@ -69,7 +58,7 @@ TEST(Integration, EveryEpflCircuitSurvivesTheQuickPipeline) {
   for (const char* name : {"adder", "sin", "arbiter"}) {
     Aig circuit = make_epfl(name);
     FlowParams params = quick_params();
-    EmorphicResult result = emorphic_flow(circuit, params);
+    FlowResult result = Pipeline::emorphic(params).run(circuit, params);
     EXPECT_EQ(result.verify_status, CecStatus::kEquivalent) << name;
     EXPECT_GT(result.egraph_enodes, result.initial_enodes) << name;
   }
@@ -82,7 +71,7 @@ TEST(Integration, IoRoundTripThroughEquationFormat) {
   std::string eq = write_equations(original);
   Aig parsed = read_equations(eq);
   FlowParams params = quick_params();
-  EmorphicResult result = emorphic_flow(parsed, params);
+  FlowResult result = Pipeline::emorphic(params).run(parsed, params);
   EXPECT_EQ(result.verify_status, CecStatus::kEquivalent);
   std::string eq_out = write_equations(result.final_aig);
   Aig reparsed = read_equations(eq_out);

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "service/protocol.hpp"
 #include "util/socket.hpp"
@@ -129,6 +130,25 @@ TEST(JobRequest, RejectsMissingOrIllTypedFields) {
   EXPECT_THROW(
       parse(R"({"type":"submit","id":"j","circuit":"x","bogus":1})"),
       std::invalid_argument);
+  // A seed must be an integer a JSON number carries exactly: [0, 2^53].
+  auto with_seed = [&parse](const std::string& seed) {
+    const std::string text =
+        R"({"type":"submit","id":"j","circuit":"x","seed":)" + seed + "}";
+    return parse(text.c_str());
+  };
+  for (const char* seed : {"2.5", "-1", "1e16", "9007199254740994"}) {
+    EXPECT_THROW(with_seed(seed), std::invalid_argument) << seed;
+  }
+  const std::uint64_t max_seed = std::uint64_t{1} << 53;
+  EXPECT_EQ(with_seed("9007199254740992").seed, max_seed);
+  // The client side refuses to send a seed the wire would round.
+  JobRequest req;
+  req.id = "j";
+  req.circuit = "x";
+  req.seed = max_seed;
+  EXPECT_EQ(JobRequest::from_json(req.to_json()).seed, max_seed);
+  req.seed = max_seed + 1;
+  EXPECT_THROW(req.to_json(), std::invalid_argument);
 }
 
 // --- FlowParams overrides ---------------------------------------------------
@@ -179,6 +199,23 @@ TEST(ApplyFlowParams, RejectsUnknownAndIllTypedKeys) {
   EXPECT_THROW(apply_flow_params(&params, negative), std::invalid_argument);
   Json not_object = Json::parse(R"({"sa": 3})");
   EXPECT_THROW(apply_flow_params(&params, not_object), std::invalid_argument);
+  // Counts must be integers in [0, 2^32 - 1]; no cast truncates or wraps
+  // them, and the error names the key.
+  const std::pair<const char*, const char*> bad_counts[] = {
+      {R"({"rounds": 2.7})", "'rounds'"},
+      {R"({"rounds": 4294967296})", "'rounds'"},
+      {R"({"sa": {"num_threads": 1e12}})", "'sa.num_threads'"},
+      {R"({"sa": {"num_threads": -1}})", "'sa.num_threads'"}};
+  for (const auto& [text, key] : bad_counts) {
+    try {
+      apply_flow_params(&params, Json::parse(text));
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << text;
+    }
+  }
+  apply_flow_params(&params, Json::parse(R"({"rounds": 4294967295})"));
+  EXPECT_EQ(params.rounds, 4294967295u);
 }
 
 TEST(ApplyFlowParams, ValidatesPartitionKeys) {

@@ -125,8 +125,8 @@ TEST(WarmCache, FlowKeySeparatesInputsSeedsAndParams) {
 /// bit-identical FlowQor to a serial, cache-free run of the same batch.
 TEST(WarmCache, ConcurrentSharingIsBitIdenticalToSerial) {
   std::vector<Aig> circuits = test_circuits();
-  Pipeline pipeline = Pipeline::emorphic();
   FlowParams params = quick_params();
+  Pipeline pipeline = Pipeline::emorphic(params);
 
   BatchParams serial;
   serial.num_threads = 1;
@@ -156,8 +156,8 @@ TEST(WarmCache, ConcurrentSharingIsBitIdenticalToSerial) {
 /// steady state — still changes nothing.
 TEST(WarmCache, WarmReRunsStayIdentical) {
   std::vector<Aig> circuits = test_circuits();
-  Pipeline pipeline = Pipeline::emorphic();
   FlowParams params = quick_params();
+  Pipeline pipeline = Pipeline::emorphic(params);
 
   WarmCache cache;
   BatchParams batch;
@@ -186,10 +186,10 @@ TEST(WarmCache, WarmReRunsStayIdentical) {
 /// all persist, so a warm job re-walks warm storage.
 TEST(WarmCache, WorkerContextReuseIsFlatAndDeterministic) {
   Aig input = make_adder(6);
-  Pipeline pipeline = Pipeline::emorphic();
   FlowParams params = quick_params();
   params.sa.num_threads = 1;  // single-threaded: allocation counts are
                               // deterministic, so "flat" can be exact
+  Pipeline pipeline = Pipeline::emorphic(params);
 
   WarmCache cache;
   FlowContext ctx;  // the per-worker context, reused across jobs
