@@ -93,7 +93,8 @@ ENode read_enode(SnapshotReader& r, std::uint64_t num_classes) {
 
 // --- SnapshotReader ---------------------------------------------------------
 
-void SnapshotReader::expect_magic(const char tag[4], const char* format_name) {
+void SnapshotReader::expect_header(const char tag[4], const char* format_name,
+                                   std::uint64_t version) {
   if (remaining() < 4) {
     throw SnapshotError(std::string(format_name) + ": truncated before magic");
   }
@@ -101,6 +102,21 @@ void SnapshotReader::expect_magic(const char tag[4], const char* format_name) {
     throw SnapshotError(std::string(format_name) + ": wrong magic");
   }
   pos_ += 4;
+  std::uint64_t found = varint("version");
+  if (found != version) {
+    throw SnapshotError("unsupported " + std::string(format_name) +
+                        " version " + std::to_string(found) + " (expected " +
+                        std::to_string(version) + ")");
+  }
+}
+
+void SnapshotReader::expect_fingerprint(std::uint64_t fingerprint,
+                                        const char* format_name) {
+  if (varint("fingerprint") != fingerprint) {
+    throw SnapshotError(std::string(format_name) +
+                        " was taken for a different circuit or configuration "
+                        "(fingerprint mismatch) — delete it to start over");
+  }
 }
 
 std::uint8_t SnapshotReader::u8(const char* field) {
@@ -160,8 +176,7 @@ std::string egraph_to_snapshot(const EGraph& egraph) {
   const std::vector<std::uint32_t>& rank = SnapshotAccess::rank(egraph);
 
   SnapshotWriter w;
-  w.magic(kSnapshotMagic);
-  w.varint(kSnapshotVersion);
+  w.header(kSnapshotMagic, kSnapshotVersion);
   w.varint(parent.size());
   for (EClassId p : parent) w.varint(p);
   for (std::uint32_t r : rank) w.varint(r);
@@ -182,13 +197,7 @@ std::string egraph_to_snapshot(const EGraph& egraph) {
 
 EGraph snapshot_to_egraph(const std::string& bytes) {
   SnapshotReader r(bytes);
-  r.expect_magic(kSnapshotMagic, "e-graph snapshot");
-  std::uint64_t version = r.varint("version");
-  if (version != kSnapshotVersion) {
-    throw SnapshotError("unsupported e-graph snapshot version " +
-                        std::to_string(version) + " (expected " +
-                        std::to_string(kSnapshotVersion) + ")");
-  }
+  r.expect_header(kSnapshotMagic, "e-graph snapshot", kSnapshotVersion);
   std::uint64_t n = r.varint("class count");
   // Each class contributes at least one varint byte to the parent array, so
   // counts beyond the input size are fabricated — reject before sizing any

@@ -58,7 +58,11 @@ EGraph snapshot_to_egraph(const std::string& bytes);
 /// Append-only byte-buffer writer with LEB128 varints.
 class SnapshotWriter {
  public:
-  void magic(const char tag[4]) { out_.append(tag, 4); }
+  /// The 4-byte magic tag and format version every format starts with.
+  void header(const char tag[4], std::uint64_t version) {
+    out_.append(tag, 4);
+    varint(version);
+  }
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void varint(std::uint64_t v) {
     while (v >= 0x80) {
@@ -81,8 +85,11 @@ class SnapshotReader {
  public:
   explicit SnapshotReader(const std::string& data) : data_(data) {}
 
-  /// Consume and check a 4-byte magic tag.
-  void expect_magic(const char tag[4], const char* format_name);
+  /// Consume and check the magic tag and format version (header()).
+  void expect_header(const char tag[4], const char* format_name,
+                     std::uint64_t version);
+  /// Consume a checkpoint's run fingerprint; throws unless it is this run's.
+  void expect_fingerprint(std::uint64_t fingerprint, const char* format_name);
   std::uint8_t u8(const char* field);
   std::uint64_t varint(const char* field);
   /// Consume `n` raw bytes.

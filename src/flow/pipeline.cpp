@@ -13,6 +13,7 @@
 #include "check/validators.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/snapshot.hpp"
+#include "flow/params_schema.hpp"
 #include "util/hash.hpp"
 
 namespace emorphic {
@@ -142,18 +143,22 @@ namespace {
 // the previous complete checkpoint, never a torn one.
 
 constexpr char kRewriteCkptMagic[4] = {'E', 'M', 'C', 'K'};
-constexpr std::uint64_t kRewriteCkptVersion = 1;
+constexpr std::uint64_t kRewriteCkptVersion = 2;
 
-/// Everything the saturation trajectory depends on. A checkpoint whose
-/// fingerprint disagrees was taken under a different run and throws
-/// (restoring it would silently splice two unrelated saturations).
-std::uint64_t rewrite_ckpt_fingerprint(const FlowContext& ctx) {
+/// Everything the saturation trajectory depends on: the circuit, the runner
+/// parameters, the seed and the rule set. A checkpoint whose fingerprint
+/// disagrees was taken under a different run and throws (restoring it would
+/// silently splice two unrelated saturations).
+std::uint64_t rewrite_ckpt_fingerprint(const FlowContext& ctx,
+                                       const std::vector<Rewrite>& rules) {
   std::uint64_t h = structural_signature(ctx.current);
-  auto fold = [&h](std::uint64_t v) { h = splitmix64(h ^ splitmix64(v)); };
-  fold(ctx.params.rewrite.max_iterations);
-  fold(ctx.params.rewrite.max_enodes);
-  fold(ctx.params.rewrite.max_matches_per_rule);
-  fold(ctx.seed);
+  h = hash_fold(h, fingerprint(ctx.params.rewrite));
+  h = hash_fold(h, ctx.seed);
+  for (const Rewrite& rule : rules) {
+    h = hash_fold(h, rule.name);
+    h = hash_fold(h, rule.lhs.to_string(rule.var_names));
+    h = hash_fold(h, rule.rhs.to_string(rule.var_names));
+  }
   return h;
 }
 
@@ -168,17 +173,9 @@ std::uint64_t load_rewrite_ckpt(const std::string& path,
                    std::istreambuf_iterator<char>{});
   if (data.empty()) return 0;
   SnapshotReader r(data);
-  r.expect_magic(kRewriteCkptMagic, "rewrite checkpoint");
-  std::uint64_t version = r.varint("version");
-  if (version != kRewriteCkptVersion) {
-    throw SnapshotError("unsupported rewrite checkpoint version " +
-                        std::to_string(version));
-  }
-  if (r.varint("fingerprint") != fingerprint) {
-    throw SnapshotError(
-        "rewrite checkpoint was taken for a different circuit or "
-        "configuration (fingerprint mismatch) — delete it to start over");
-  }
+  r.expect_header(kRewriteCkptMagic, "rewrite checkpoint",
+                  kRewriteCkptVersion);
+  r.expect_fingerprint(fingerprint, "rewrite checkpoint");
   std::uint64_t iterations = r.varint("iterations done");
   std::uint64_t len = r.varint("snapshot length");
   std::string snapshot = r.bytes(len, "e-graph snapshot");
@@ -190,8 +187,7 @@ std::uint64_t load_rewrite_ckpt(const std::string& path,
 void save_rewrite_ckpt(const std::string& path, std::uint64_t fingerprint,
                        std::uint64_t iterations, const EGraph& egraph) {
   SnapshotWriter w;
-  w.magic(kRewriteCkptMagic);
-  w.varint(kRewriteCkptVersion);
+  w.header(kRewriteCkptMagic, kRewriteCkptVersion);
   w.varint(fingerprint);
   w.varint(iterations);
   std::string snapshot = egraph_to_snapshot(egraph);
@@ -227,7 +223,7 @@ void RewriteStage::run(FlowContext& ctx) const {
   std::uint64_t fingerprint = 0;
   std::uint64_t iterations_done = 0;
   if (checkpointing) {
-    fingerprint = rewrite_ckpt_fingerprint(ctx);
+    fingerprint = rewrite_ckpt_fingerprint(ctx, *rules);
     iterations_done = load_rewrite_ckpt(ctx.params.checkpoint_path,
                                         fingerprint, ctx.egraph->egraph);
     if (iterations_done >= rewrite.max_iterations) {
@@ -622,42 +618,48 @@ Pipeline Pipeline::baseline(const FlowParams& params) {
 }
 
 Pipeline Pipeline::emorphic(const FlowParams& params) {
+  // A flag this flow cannot honour is an error, never a silent no-op.
+  auto refuse = [](bool combined, const char* flags, const char* why) {
+    if (!combined) return;
+    throw std::invalid_argument(std::string("Pipeline::emorphic: ") + flags +
+                                " cannot be combined: " + why);
+  };
+  refuse(params.use_choicemap && params.fraig_post,
+         "use_choicemap and fraig_post",
+         "the choice-aware tail leaves no extracted network to sweep");
+  refuse(params.partition && params.use_choicemap,
+         "partition and use_choicemap", "the partitioned flow does not map");
+  refuse(params.partition && params.use_lutmap, "partition and use_lutmap",
+         "the partitioned flow does not map");
+  Pipeline pipeline;
+  if (params.fraig_pre) pipeline.add(StagePtr(new FraigStage()));
   if (params.partition) {
     // The scaling mode: the whole-circuit conversion/rewrite/extract body
     // cannot hold a million-gate design in one e-graph, so the partition
-    // stage runs the same saturation per window and stitches. The final
-    // Cec stage (gated by params.verify, like every flow) proves the
-    // stitched circuit against the input end to end.
-    Pipeline pipeline;
-    if (params.fraig_pre) pipeline.add(StagePtr(new FraigStage()));
+    // stage runs the same saturation per window and stitches; fraig_post
+    // is its per-window sweep.
     pipeline.add(StagePtr(new PartitionStage()));
-    pipeline.add(StagePtr(new CecStage()));
-    return pipeline;
-  }
-  Pipeline pipeline;
-  if (params.fraig_pre) pipeline.add(StagePtr(new FraigStage()));
-  pipeline.add(
-      StagePtr(new ResynRoundsStage(ResynRoundsStage::Rounds::kAllButLast)));
-  pipeline.add(StagePtr(new EgraphConversionStage()));  // forward
-  pipeline.add(StagePtr(new RewriteStage()));
-  pipeline.add(StagePtr(new SaExtractStage()));
-  if (params.use_choicemap) {
-    // Choice-aware tail: one stage lowers the SA winner plus the verified
-    // alternative rings and maps across all of them. fraig_post has no
-    // network to sweep here (the stage rebuilds ctx.current from the
-    // e-graph), so it is ignored in this configuration. With use_lutmap
-    // the same shape holds, with LUTs as the backend.
-    pipeline.add(params.use_lutmap ? StagePtr(new LutMapStage())
-                                   : StagePtr(new ChoiceMapStage()));
   } else {
-    pipeline.add(StagePtr(new EgraphConversionStage()));  // backward
-    if (params.fraig_post) pipeline.add(StagePtr(new FraigStage()));
+    pipeline.add(StagePtr(
+        new ResynRoundsStage(ResynRoundsStage::Rounds::kAllButLast)));
+    pipeline.add(StagePtr(new EgraphConversionStage()));  // forward
+    pipeline.add(StagePtr(new RewriteStage()));
+    pipeline.add(StagePtr(new SaExtractStage()));
+    // A choice-aware tail (choicemap, or lutmap under use_choicemap)
+    // lowers the SA winner plus the verified rings itself.
+    if (!params.use_choicemap) {
+      pipeline.add(StagePtr(new EgraphConversionStage()));  // backward
+      if (params.fraig_post) pipeline.add(StagePtr(new FraigStage()));
+    }
     if (params.use_lutmap) {
       pipeline.add(StagePtr(new LutMapStage()));
+    } else if (params.use_choicemap) {
+      pipeline.add(StagePtr(new ChoiceMapStage()));
     } else {
       pipeline.add(StagePtr(new TechMapStage(/*resynth_gate=*/true)));
     }
   }
+  // Cec (gated by params.verify) proves the result against the input.
   pipeline.add(StagePtr(new CecStage()));
   return pipeline;
 }

@@ -111,8 +111,7 @@ struct FlowParams {
   /// backward EgraphConversion + final TechMap pair is replaced by the
   /// "choicemap" stage, which lowers the whole e-graph — the SA winner
   /// plus a ring of verified alternatives per class — and maps across all
-  /// variants. `fraig_post` is ignored in this configuration (the network
-  /// it would sweep is rebuilt from the e-graph inside the stage).
+  /// variants.
   bool use_choicemap = false;
   /// Opt into the k-LUT mapping backend (mapper/lut_mapper.hpp): the
   /// `baseline(params)`/`emorphic(params)` factories then end in the
@@ -124,7 +123,7 @@ struct FlowParams {
   bool use_lutmap = false;
   /// LUT input cap K for the lutmap stage; must lie in [2, kMaxCutSize]
   /// — the stage (via map_to_luts) throws std::invalid_argument outside
-  /// that range, and the service rejects it as BAD_PARAMS at submit time.
+  /// that range.
   unsigned lut_size = 6;
   /// Paranoia mode: re-validate every live structure (working AIG, e-graph,
   /// LUT network) with the deep validators of check/validators.hpp at every
@@ -139,8 +138,8 @@ struct FlowParams {
   /// decomposes the circuit into bounded fanin-cone windows, saturates
   /// each on the batch workers, CEC-gates every adopted window and
   /// stitches them back. The scaling mode for circuits too large for one
-  /// e-graph. `fraig_post` becomes the per-window SAT sweep; mapping
-  /// stages are skipped (the partitioned flow reports structure QoR).
+  /// e-graph. `fraig_post` becomes the per-window SAT sweep. The
+  /// partitioned flow reports structure QoR and does not map.
   bool partition = false;
   /// Maximum AND nodes per window for the partition stage.
   std::uint32_t window_size = 1000;
@@ -577,15 +576,11 @@ class Pipeline {
   /// EgraphConversion (fwd); Rewrite; SaExtract; EgraphConversion (bwd);
   /// TechMap (resynth-gated final round); Cec.
   ///
-  /// Both factories read the stage-list flags of `params`, so build the
-  /// pipeline from the same params the run uses: `fraig_pre` inserts a
-  /// "fraig" stage before everything, `fraig_post` one right before the
-  /// final TechMap, `use_choicemap` (emorphic only) swaps the backward
-  /// EgraphConversion + TechMap pair for the choice-aware "choicemap"
-  /// stage, `use_lutmap` swaps the final cell mapping for the "lutmap"
-  /// stage (combined with use_choicemap, one lutmap stage consumes the
-  /// e-graph choice-aware), and `partition` (emorphic only) runs windowed
-  /// saturation instead of the whole-circuit body.
+  /// Both factories read the stage-list flags of `params` (fraig_pre,
+  /// fraig_post, use_choicemap, use_lutmap, partition; see FlowParams), so
+  /// build the pipeline from the same params the run uses. emorphic throws
+  /// std::invalid_argument on use_choicemap with fraig_post and on
+  /// partition with use_choicemap or use_lutmap.
   static Pipeline emorphic(const FlowParams& params);
 
  private:

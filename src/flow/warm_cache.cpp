@@ -35,9 +35,7 @@ void WarmCache::prepare(FlowContext& ctx) {
 std::uint64_t WarmCache::flow_key(const Aig& input, std::uint64_t seed,
                                   std::uint64_t params_fingerprint) {
   std::uint64_t key = splitmix64(structural_signature(input));
-  key = splitmix64(key ^ splitmix64(seed));
-  key = splitmix64(key ^ splitmix64(params_fingerprint));
-  return key;
+  return hash_fold(hash_fold(key, seed), params_fingerprint);
 }
 
 bool WarmCache::lookup_flow(std::uint64_t key, CachedFlow* out) {

@@ -10,6 +10,7 @@
 #include "aig/signature.hpp"
 #include "egraph/snapshot.hpp"
 #include "flow/batch.hpp"
+#include "flow/params_schema.hpp"
 #include "flow/pipeline.hpp"
 #include "util/hash.hpp"
 
@@ -24,16 +25,12 @@ namespace {
 constexpr std::size_t kChunkWindows = 16;
 
 constexpr char kCheckpointMagic[4] = {'E', 'M', 'P', 'C'};
-constexpr std::uint64_t kCheckpointVersion = 1;
+constexpr std::uint64_t kCheckpointVersion = 2;
 
 // Window result status codes stored in checkpoint records.
 constexpr std::uint8_t kRejectedQor = 0;
 constexpr std::uint8_t kAdopted = 1;
 constexpr std::uint8_t kRejectedCec = 2;
-
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return splitmix64(h ^ splitmix64(v));
-}
 
 /// Everything the recorded window results depend on: the circuit, the
 /// decomposition, the seeds and the inner optimization effort. A checkpoint
@@ -43,15 +40,14 @@ std::uint64_t checkpoint_fingerprint(const Aig& input,
                                      const PartitionParams& params,
                                      std::size_t num_windows) {
   std::uint64_t h = structural_signature(input);
-  h = fold(h, params.window_size);
-  h = fold(h, params.seed);
-  h = fold(h, params.rewrite.max_iterations);
-  h = fold(h, params.rewrite.max_enodes);
-  h = fold(h, params.rewrite.max_matches_per_rule);
-  h = fold(h, params.window_fraig ? 1 : 0);
-  h = fold(h, params.window_cec.conflict_limit);
-  h = fold(h, num_windows);
-  h = fold(h, kChunkWindows);
+  h = hash_fold(h, params.window_size);
+  h = hash_fold(h, params.seed);
+  h = hash_fold(h, fingerprint(params.rewrite));
+  // The sweep's parameters count only when the sweep runs.
+  h = hash_fold(h, params.window_fraig ? fingerprint(params.fraig) : 0);
+  h = hash_fold(h, fingerprint(params.window_cec));
+  h = hash_fold(h, num_windows);
+  h = hash_fold(h, kChunkWindows);
   return h;
 }
 
@@ -101,8 +97,7 @@ void append_file(const std::string& path, const std::string& data) {
 std::string checkpoint_header(std::uint64_t fingerprint,
                               std::size_t num_windows) {
   SnapshotWriter w;
-  w.magic(kCheckpointMagic);
-  w.varint(kCheckpointVersion);
+  w.header(kCheckpointMagic, kCheckpointVersion);
   w.varint(fingerprint);
   w.varint(num_windows);
   return w.take();
@@ -122,17 +117,9 @@ std::size_t load_checkpoint(const std::string& path, std::uint64_t fingerprint,
     return 0;
   }
   SnapshotReader r(data);
-  r.expect_magic(kCheckpointMagic, "partition checkpoint");
-  std::uint64_t version = r.varint("version");
-  if (version != kCheckpointVersion) {
-    throw SnapshotError("unsupported partition checkpoint version " +
-                        std::to_string(version));
-  }
-  if (r.varint("fingerprint") != fingerprint) {
-    throw SnapshotError(
-        "partition checkpoint was taken for a different circuit or "
-        "configuration (fingerprint mismatch) — delete it to start over");
-  }
+  r.expect_header(kCheckpointMagic, "partition checkpoint",
+                  kCheckpointVersion);
+  r.expect_fingerprint(fingerprint, "partition checkpoint");
   if (r.varint("window count") != num_windows) {
     throw SnapshotError("partition checkpoint window count mismatch");
   }

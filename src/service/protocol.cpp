@@ -1,10 +1,6 @@
 #include "service/protocol.hpp"
 
-#include <cmath>
-#include <limits>
 #include <stdexcept>
-
-#include "aig/cut.hpp"
 
 namespace emorphic::service {
 
@@ -14,53 +10,8 @@ namespace {
   throw std::invalid_argument(message);
 }
 
-double expect_number(const Json& value, const std::string& key) {
-  if (!value.is_number()) bad("field '" + key + "' must be a number");
-  return value.as_number();
-}
-
 /// Largest integer a JSON number (an IEEE double) carries exactly: 2^53.
 constexpr std::uint64_t kMaxJsonInteger = std::uint64_t{1} << 53;
-
-/// An integral number in [0, max], checked before any cast: a fractional,
-/// negative or oversized double has no faithful (or defined) conversion.
-std::uint64_t expect_integer(const Json& value, const std::string& key,
-                             std::uint64_t max) {
-  double n = expect_number(value, key);
-  if (!(n >= 0 && n <= static_cast<double>(max)) || n != std::floor(n)) {
-    bad("field '" + key + "' must be an integer in [0, " +
-        std::to_string(max) + "]");
-  }
-  return static_cast<std::uint64_t>(n);
-}
-
-unsigned expect_unsigned(const Json& value, const std::string& key) {
-  return static_cast<unsigned>(
-      expect_integer(value, key, std::numeric_limits<unsigned>::max()));
-}
-
-bool expect_bool(const Json& value, const std::string& key) {
-  if (value.type() != Json::Type::kBool) {
-    bad("field '" + key + "' must be a boolean");
-  }
-  return value.as_bool();
-}
-
-std::string expect_string(const Json& value, const std::string& key) {
-  if (!value.is_string()) bad("field '" + key + "' must be a string");
-  return value.as_string();
-}
-
-/// FNV-1a over a byte string — stable across platforms, good enough to
-/// fingerprint canonical JSON text.
-std::uint64_t fnv1a(const std::string& text, std::uint64_t seed) {
-  std::uint64_t h = seed ^ 0xcbf29ce484222325ull;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -102,29 +53,29 @@ JobRequest JobRequest::from_json(const Json& msg) {
   bool saw_id = false, saw_circuit = false;
   for (const auto& [key, value] : msg.as_object()) {
     if (key == "type") {
-      if (expect_string(value, key) != "submit") bad("not a submit message");
+      if (json_string(value, key) != "submit") bad("not a submit message");
     } else if (key == "id") {
-      req.id = expect_string(value, key);
+      req.id = json_string(value, key);
       saw_id = true;
     } else if (key == "format") {
-      req.format = expect_string(value, key);
+      req.format = json_string(value, key);
       if (req.format != "aiger" && req.format != "eqn") {
         bad("field 'format' must be \"aiger\" or \"eqn\"");
       }
     } else if (key == "circuit") {
-      req.circuit = expect_string(value, key);
+      req.circuit = json_string(value, key);
       saw_circuit = true;
     } else if (key == "flow") {
-      req.flow = expect_string(value, key);
+      req.flow = json_string(value, key);
     } else if (key == "seed") {
-      req.seed = expect_integer(value, key, kMaxJsonInteger);
+      req.seed = json_integer(value, key, 0, kMaxJsonInteger);
     } else if (key == "deadline_s") {
-      req.deadline_s = expect_number(value, key);
+      req.deadline_s = json_number(value, key);
       if (req.deadline_s < 0) bad("field 'deadline_s' must be non-negative");
     } else if (key == "return_circuit") {
-      req.return_circuit = expect_bool(value, key);
+      req.return_circuit = json_bool(value, key);
     } else if (key == "progress") {
-      req.progress = expect_bool(value, key);
+      req.progress = json_bool(value, key);
     } else if (key == "params") {
       if (!value.is_object()) bad("field 'params' must be an object");
       req.params = value;
@@ -137,106 +88,6 @@ JobRequest JobRequest::from_json(const Json& msg) {
     bad("field 'circuit' is required and non-empty");
   }
   return req;
-}
-
-void apply_flow_params(FlowParams* params, const Json& overrides) {
-  if (!overrides.is_object()) {
-    bad("params override must be a JSON object");
-  }
-  for (const auto& [key, value] : overrides.as_object()) {
-    if (key == "rounds") {
-      params->rounds = expect_unsigned(value, key);
-    } else if (key == "area_weight") {
-      params->area_weight = expect_number(value, key);
-    } else if (key == "verify") {
-      params->verify = expect_bool(value, key);
-    } else if (key == "fraig_pre") {
-      params->fraig_pre = expect_bool(value, key);
-    } else if (key == "fraig_post") {
-      params->fraig_post = expect_bool(value, key);
-    } else if (key == "use_choicemap") {
-      params->use_choicemap = expect_bool(value, key);
-    } else if (key == "use_lutmap") {
-      params->use_lutmap = expect_bool(value, key);
-    } else if (key == "lut_size") {
-      unsigned k = expect_unsigned(value, key);
-      // Validated here so a bad request dies as a typed BAD_PARAMS at
-      // submit time instead of an internal error mid-flow; the range is
-      // map_to_luts' contract (mapper/lut_mapper.hpp).
-      if (k < 2 || k > kMaxCutSize) {
-        bad("field 'lut_size' must be in [2, " + std::to_string(kMaxCutSize) +
-            "]");
-      }
-      params->lut_size = k;
-    } else if (key == "partition") {
-      // Windowed saturation (opt/partition.hpp) for circuits too large for
-      // whole-circuit conversion. checkpoint_path is deliberately NOT
-      // exposed: clients must not name server-side filesystem paths.
-      params->partition = expect_bool(value, key);
-    } else if (key == "window_size") {
-      unsigned w = expect_unsigned(value, key);
-      if (w < 1) bad("field 'window_size' must be >= 1");
-      params->window_size = w;
-    } else if (key == "paranoia") {
-      // Stage-boundary deep validation (FlowParams::paranoia): a client can
-      // turn it on per job, e.g. when reducing a miscompare.
-      params->paranoia = expect_bool(value, key);
-    } else if (key == "sa") {
-      if (!value.is_object()) bad("'sa' must be an object");
-      for (const auto& [skey, sval] : value.as_object()) {
-        const std::string path = "sa." + skey;
-        if (skey == "iterations") {
-          params->sa.iterations = expect_unsigned(sval, path);
-        } else if (skey == "moves_per_iteration") {
-          params->sa.moves_per_iteration = expect_unsigned(sval, path);
-        } else if (skey == "num_threads") {
-          params->sa.num_threads = expect_unsigned(sval, path);
-        } else if (skey == "initial_temperature") {
-          params->sa.initial_temperature = expect_number(sval, path);
-        } else {
-          bad("unknown params key '" + path + "'");
-        }
-      }
-    } else if (key == "rewrite") {
-      if (!value.is_object()) bad("'rewrite' must be an object");
-      for (const auto& [rkey, rval] : value.as_object()) {
-        const std::string path = "rewrite." + rkey;
-        if (rkey == "max_iterations") {
-          params->rewrite.max_iterations = expect_unsigned(rval, path);
-        } else if (rkey == "max_enodes") {
-          params->rewrite.max_enodes = expect_unsigned(rval, path);
-        } else if (rkey == "time_limit_s") {
-          params->rewrite.time_limit_s = expect_number(rval, path);
-        } else if (rkey == "match_threads") {
-          params->rewrite.match_threads = expect_unsigned(rval, path);
-        } else {
-          bad("unknown params key '" + path + "'");
-        }
-      }
-    } else if (key == "mapping") {
-      if (!value.is_object()) bad("'mapping' must be an object");
-      for (const auto& [mkey, mval] : value.as_object()) {
-        const std::string path = "mapping." + mkey;
-        if (mkey == "cut_size") {
-          params->mapping.cut_size = expect_unsigned(mval, path);
-        } else if (mkey == "num_cuts") {
-          params->mapping.num_cuts = expect_unsigned(mval, path);
-        } else if (mkey == "area_recovery") {
-          params->mapping.area_recovery = expect_bool(mval, path);
-        } else {
-          bad("unknown params key '" + path + "'");
-        }
-      }
-    } else {
-      bad("unknown params key '" + key + "'");
-    }
-  }
-}
-
-std::uint64_t params_fingerprint(const std::string& flow,
-                                 const Json& overrides) {
-  std::uint64_t h = fnv1a(flow, 0);
-  return fnv1a(overrides.dump(), h);
 }
 
 Json make_error(ErrorCode code, const std::string& message,

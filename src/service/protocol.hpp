@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <string>
 
-#include "flow/pipeline.hpp"
+#include "flow/params_schema.hpp"
 #include "util/json.hpp"
 
 namespace emorphic::service {
@@ -25,7 +25,7 @@ enum class ErrorCode {
   kOverloaded,        // admission queue full; retry later
   kMalformedRequest,  // frame was not a valid protocol message
   kMalformedCircuit,  // circuit text failed to parse
-  kBadParams,         // params override rejected (unknown key / bad type)
+  kBadParams,         // params override or flag combination rejected
   kUnknownFlow,       // no registered flow under the requested name
   kShuttingDown,      // server is draining; no new work accepted
   kInternal,          // unexpected server-side failure
@@ -53,7 +53,8 @@ struct JobRequest {
   /// Stream per-stage "progress" frames while the job runs.
   bool progress = false;
   /// FlowParams overrides applied on top of the server's base parameters
-  /// (see apply_flow_params for the accepted keys).
+  /// by apply_flow_params; the accepted keys are the wire rows of
+  /// flow/params_schema.cpp, tabulated in docs/service.md.
   Json params = Json::object();
 
   Json to_json() const;
@@ -62,29 +63,6 @@ struct JobRequest {
   /// unknown keys (strict protocol v1).
   static JobRequest from_json(const Json& msg);
 };
-
-/// Apply a params-override object onto `params`. Accepted keys:
-///   rounds, area_weight, verify, fraig_pre, fraig_post, use_choicemap,
-///   use_lutmap, lut_size
-///   sa:      {iterations, moves_per_iteration, num_threads,
-///             initial_temperature}
-///   rewrite: {max_iterations, max_enodes, time_limit_s, match_threads}
-///   mapping: {cut_size, num_cuts, area_recovery}
-/// Throws std::invalid_argument on an unknown key, an ill-typed value, a
-/// count that is not an integer in [0, 2^32 - 1], or an out-of-range
-/// lut_size (the LUT backend's [2, kMaxCutSize] contract), naming the
-/// offender — the server maps this to ErrorCode::kBadParams.
-/// Any accepted key lands in the params fingerprint via the overrides
-/// object itself, so e.g. a use_lutmap job can never alias a cell-mapped
-/// job in the flow-result cache.
-void apply_flow_params(FlowParams* params, const Json& overrides);
-
-/// Fingerprint of everything besides (input, seed) that shapes a job's
-/// result: the flow name and the override object's canonical serialization
-/// (JsonObject is a std::map, so dump() is deterministic). Feeds
-/// WarmCache::flow_key.
-std::uint64_t params_fingerprint(const std::string& flow,
-                                 const Json& overrides);
 
 // --- frame builders ---------------------------------------------------------
 

@@ -290,26 +290,26 @@ void SynthServer::handle_submit(const std::shared_ptr<Session>& session,
     return;
   }
 
-  FlowParams params = config_.base_params;
+  auto job = std::make_shared<Job>();
+  job->params = config_.base_params;
   try {
-    apply_flow_params(&params, request.params);
+    // The flow factory rejects flag combinations it cannot honour with the
+    // same exception type as the override parser.
+    apply_flow_params(&job->params, request.params);
+    job->pipeline = flow_it->second(job->params);
   } catch (const std::invalid_argument& e) {
     stat_malformed_.fetch_add(1, std::memory_order_relaxed);
     send(session, make_error(ErrorCode::kBadParams, e.what(), request.id));
     return;
   }
-
-  auto job = std::make_shared<Job>();
   job->request = std::move(request);
   job->session = session;
   job->input = std::move(input);
-  job->params = params;
-  job->pipeline = flow_it->second(params);
   if (config_.cache_results) {
     job->cache_eligible = true;
-    job->cache_key = WarmCache::flow_key(
-        job->input, job->request.seed,
-        params_fingerprint(job->request.flow, job->request.params));
+    job->cache_key =
+        WarmCache::flow_key(job->input, job->request.seed,
+                            fingerprint(job->params, job->request.flow));
   }
   job->admitted.restart();
 

@@ -1,10 +1,12 @@
 #pragma once
 // The one 64-bit mixer behind every signature, fingerprint, cache key and
-// derived seed in the library. Callers keep their own fold over it: the
-// folds differ, and signatures, checkpoint fingerprints and derived seeds
-// must stay bit-identical (tests/util/test_hash.cpp pins golden values).
+// derived seed in the library, and the fold that chains keys and
+// fingerprints from it. Signatures, checkpoint fingerprints and derived
+// seeds must stay bit-identical (tests/util/test_hash.cpp pins golden
+// values).
 
 #include <cstdint>
+#include <string_view>
 
 namespace emorphic {
 
@@ -16,6 +18,20 @@ inline std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+/// Fold `value` into the running hash `h`. Order-sensitive: folding the
+/// same values in another order gives another hash.
+inline std::uint64_t hash_fold(std::uint64_t h, std::uint64_t value) {
+  return splitmix64(h ^ splitmix64(value));
+}
+
+/// Fold a string: its length, then each byte, so that no two sequences of
+/// folded strings collide by concatenation.
+inline std::uint64_t hash_fold(std::uint64_t h, std::string_view text) {
+  h = hash_fold(h, text.size());
+  for (unsigned char c : text) h = hash_fold(h, c);
+  return h;
 }
 
 }  // namespace emorphic

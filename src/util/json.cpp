@@ -295,4 +295,38 @@ class Parser {
 
 Json Json::parse(const std::string& text) { return Parser(text).parse(); }
 
+namespace {
+
+[[noreturn]] void bad_field(const std::string& key, const std::string& want) {
+  throw std::invalid_argument("field '" + key + "' must be " + want);
+}
+
+}  // namespace
+
+double json_number(const Json& value, const std::string& key) {
+  if (!value.is_number()) bad_field(key, "a number");
+  return value.as_number();
+}
+
+bool json_bool(const Json& value, const std::string& key) {
+  if (value.type() != Json::Type::kBool) bad_field(key, "a boolean");
+  return value.as_bool();
+}
+
+const std::string& json_string(const Json& value, const std::string& key) {
+  if (!value.is_string()) bad_field(key, "a string");
+  return value.as_string();
+}
+
+std::uint64_t json_integer(const Json& value, const std::string& key,
+                           std::uint64_t min, std::uint64_t max) {
+  double n = json_number(value, key);
+  if (!(n >= static_cast<double>(min) && n <= static_cast<double>(max)) ||
+      n != std::floor(n)) {
+    bad_field(key, "an integer in [" + std::to_string(min) + ", " +
+                       std::to_string(max) + "]");
+  }
+  return static_cast<std::uint64_t>(n);
+}
+
 }  // namespace emorphic

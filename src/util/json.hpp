@@ -88,4 +88,14 @@ class Json {
   std::shared_ptr<JsonObject> object_;
 };
 
+// Strict readers for protocol fields: each throws std::invalid_argument
+// naming the field `key` when `value` has the wrong type or range.
+double json_number(const Json& value, const std::string& key);
+bool json_bool(const Json& value, const std::string& key);
+const std::string& json_string(const Json& value, const std::string& key);
+/// An integral number in [min, max], checked before any cast: a fractional,
+/// negative or oversized double has no faithful (or defined) conversion.
+std::uint64_t json_integer(const Json& value, const std::string& key,
+                           std::uint64_t min, std::uint64_t max);
+
 }  // namespace emorphic

@@ -7,12 +7,15 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "../test_helpers.hpp"
 #include "aig/aig_io.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
+#include "egraph/rules.hpp"
 #include "egraph/snapshot.hpp"
 #include "flow/pipeline.hpp"
 
@@ -124,6 +127,48 @@ TEST(RewriteCheckpoint, FingerprintMismatchThrows) {
   FlowParams other = params;
   other.rewrite.max_enodes += 1;
   EXPECT_THROW(pipeline.run(make_adder(6), other), SnapshotError);
+  std::remove(path.c_str());
+}
+
+TEST(RewriteCheckpoint, CustomRulesRefuseADefaultRuleCheckpoint) {
+  // The rule set shapes the saturation as much as the runner limits: a
+  // Rewrite stage with its own rules must not resume a default-rule run.
+  std::string path = temp_path("rules");
+  FlowParams params = checkpoint_params();
+  params.checkpoint_path = path;
+  Pipeline default_rules;
+  default_rules.add("EgraphConversion").add("Rewrite");
+  ASSERT_FALSE(default_rules.run(make_adder(6), params).cancelled);
+
+  std::vector<Rewrite> rules = make_logic_rules();
+  rules.pop_back();
+  Pipeline custom_rules;
+  custom_rules.add("EgraphConversion")
+      .add(std::make_unique<RewriteStage>(std::move(rules)));
+  EXPECT_THROW(custom_rules.run(make_adder(6), params), SnapshotError);
+  std::remove(path.c_str());
+}
+
+TEST(RewriteCheckpoint, OlderFormatVersionIsRefusedAsUnsupported) {
+  // A version-1 file predates the rule-set fingerprint: it must fail as an
+  // unsupported version, not as a misleading "different circuit".
+  std::string path = temp_path("version");
+  {
+    SnapshotWriter w;
+    w.header("EMCK", 1);
+    w.varint(0);  // fingerprint
+    std::ofstream out(path, std::ios::binary);
+    out << w.str();
+  }
+  FlowParams params = checkpoint_params();
+  params.checkpoint_path = path;
+  try {
+    Pipeline::emorphic(params).run(make_adder(4), params);
+    ADD_FAILURE() << "a version-1 checkpoint was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported"), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 

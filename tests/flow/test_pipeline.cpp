@@ -359,6 +359,41 @@ TEST(Pipeline, EmorphicIsEquivalentAndComplete) {
   EXPECT_GT(result.egraph_enodes, result.initial_enodes);
 }
 
+/// Pipeline::emorphic over default params with the given flags set.
+Pipeline emorphic_with(bool fraig_post, bool use_choicemap, bool use_lutmap,
+                       bool partition) {
+  FlowParams params;
+  params.fraig_post = fraig_post;
+  params.use_choicemap = use_choicemap;
+  params.use_lutmap = use_lutmap;
+  params.partition = partition;
+  return Pipeline::emorphic(params);
+}
+
+TEST(Pipeline, EmorphicRefusesUseChoicemapWithFraigPost) {
+  EXPECT_THROW(emorphic_with(true, true, false, false), std::invalid_argument);
+}
+
+TEST(Pipeline, EmorphicRefusesPartitionWithUseChoicemap) {
+  EXPECT_THROW(emorphic_with(false, true, false, true), std::invalid_argument);
+}
+
+TEST(Pipeline, EmorphicRefusesPartitionWithUseLutmap) {
+  EXPECT_THROW(emorphic_with(false, false, true, true), std::invalid_argument);
+}
+
+TEST(Pipeline, EmorphicKeepsTheCombinationsItHonours) {
+  // partition + fraig_post is the per-window sweep; use_choicemap +
+  // use_lutmap is the choice-aware LUT tail.
+  EXPECT_EQ(emorphic_with(true, false, false, true).stage_names(),
+            (std::vector<std::string>{"partition", "Cec"}));
+  EXPECT_EQ(emorphic_with(false, true, true, false).stage_names(),
+            (std::vector<std::string>{"ResynRounds", "EgraphConversion",
+                                      "Rewrite", "SaExtract", "lutmap",
+                                      "Cec"}));
+  EXPECT_NO_THROW(emorphic_with(true, false, true, false));
+}
+
 TEST(Pipeline, EmorphicNeverMuchWorseThanBaselineOnDelay) {
   // SA is stochastic, but the e-graph contains (at least) the baseline
   // structure, so with the exact cost model the final mapped delay should

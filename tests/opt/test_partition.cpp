@@ -256,6 +256,24 @@ TEST(Partition, CheckpointFingerprintMismatchThrows) {
   std::remove(path.c_str());
 }
 
+TEST(Partition, CheckpointKeysTheWindowFraigParams) {
+  // Under window_fraig the sweep's effort shapes every recorded window, so
+  // a resume with another conflict limit must be refused.
+  Rng rng(64);
+  Aig aig = testing::random_aig(8, 4, 200, rng);
+  std::string path = temp_path("fraig");
+  PartitionParams p = test_params(10, 19);
+  p.window_fraig = true;
+  p.checkpoint_path = path;
+  p.stop_after_chunks = 1;
+  (void)partition_optimize(aig, p);
+  PartitionParams other = p;
+  other.stop_after_chunks = 0;
+  other.fraig.conflict_limit += 1;
+  EXPECT_THROW(partition_optimize(aig, other), SnapshotError);
+  std::remove(path.c_str());
+}
+
 TEST(Partition, TornCheckpointTailIsTruncatedAndRecomputed) {
   Rng rng(62);
   Aig aig = testing::random_aig(8, 4, 260, rng);

@@ -231,16 +231,55 @@ TEST(ApplyFlowParams, ValidatesPartitionKeys) {
   EXPECT_TRUE(params.checkpoint_path.empty());
 }
 
+TEST(ApplyFlowParams, BoundsCutSizeAndThreadCounts) {
+  // A cut wider than the widest cell would throw mid-flow, and every thread
+  // unit spawns a std::thread: both are refused at submit time, naming the
+  // key.
+  FlowParams params;
+  const std::pair<const char*, const char*> rejected[] = {
+      {R"({"mapping": {"cut_size": 5}})", "'mapping.cut_size'"},
+      {R"({"mapping": {"cut_size": 1}})", "'mapping.cut_size'"},
+      {R"({"sa": {"num_threads": 100000}})", "'sa.num_threads'"},
+      {R"({"rewrite": {"match_threads": 100000}})", "'rewrite.match_threads'"}};
+  for (const auto& [text, key] : rejected) {
+    try {
+      apply_flow_params(&params, Json::parse(text));
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << text;
+    }
+  }
+  apply_flow_params(&params, Json::parse(R"({
+    "mapping": {"cut_size": 4},
+    "sa": {"num_threads": 64}, "rewrite": {"match_threads": 64}
+  })"));
+  EXPECT_EQ(params.mapping.cut_size, 4u);
+  EXPECT_EQ(params.sa.num_threads, 64u);
+  EXPECT_EQ(params.rewrite.match_threads, 64u);
+}
+
+/// The service's result-cache key of `overrides` applied to the defaults.
+std::uint64_t job_key(const std::string& flow, const char* overrides) {
+  FlowParams params;
+  apply_flow_params(&params, Json::parse(overrides));
+  return fingerprint(params, flow);
+}
+
 TEST(ParamsFingerprint, SeparatesFlowsAndOverrides) {
-  Json empty = Json::object();
-  Json rounds2 = Json::parse(R"({"rounds": 2})");
-  Json rounds3 = Json::parse(R"({"rounds": 3})");
-  EXPECT_EQ(params_fingerprint("emorphic", rounds2),
-            params_fingerprint("emorphic", rounds2));
-  EXPECT_NE(params_fingerprint("emorphic", rounds2),
-            params_fingerprint("emorphic", rounds3));
-  EXPECT_NE(params_fingerprint("emorphic", empty),
-            params_fingerprint("baseline", empty));
+  EXPECT_EQ(job_key("emorphic", R"({"rounds": 2})"),
+            job_key("emorphic", R"({"rounds": 2})"));
+  EXPECT_NE(job_key("emorphic", R"({"rounds": 2})"),
+            job_key("emorphic", R"({"rounds": 3})"));
+  EXPECT_NE(job_key("emorphic", "{}"), job_key("baseline", "{}"));
+}
+
+TEST(ParamsFingerprint, KeysOnResolvedParamsNotOverrideText) {
+  // An override that restates a default resolves to the same FlowParams,
+  // so it shares the cache key of the empty override.
+  ASSERT_EQ(FlowParams{}.rounds, 4u);
+  EXPECT_EQ(job_key("emorphic", "{}"), job_key("emorphic", R"({"rounds": 4})"));
+  EXPECT_EQ(job_key("emorphic", "{}"),
+            job_key("emorphic", R"({"sa": {}, "mapping": {"cut_size": 4}})"));
 }
 
 TEST(ErrorCodes, HaveStableProtocolStrings) {

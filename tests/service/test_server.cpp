@@ -122,9 +122,9 @@ TEST(SynthServer, CompletesAJobAndServesRepeatsFromCache) {
 
 TEST(SynthServer, LutmapParamsSelectTheLutBackendWithItsOwnCacheKey) {
   // The lutmap knobs travel the whole protocol path: per-request overrides
-  // rebuild the flow around the LUT backend, and the overrides object is
-  // part of the cache fingerprint, so a LUT-mapped job can never alias a
-  // cell-mapped job in the warm cache.
+  // rebuild the flow around the LUT backend, and the resolved parameters
+  // key the cache, so a LUT-mapped job can never alias a cell-mapped job in
+  // the warm cache.
   ServerFixture fx;
   SynthClient client = fx.connect();
 
@@ -194,6 +194,35 @@ TEST(SynthServer, LutmapParamAbuseGetsTypedBadParams) {
   JobRequest ok = adder_request("ok");
   ok.params["use_lutmap"] = true;
   ASSERT_EQ(client.submit(ok).at("type").as_string(), "accepted");
+  EXPECT_EQ(client.await("ok").at("type").as_string(), "result");
+}
+
+TEST(SynthServer, OutOfRangeCutsAndUnsupportedFlagCombinationsGetBadParams) {
+  ServerFixture fx;
+  SynthClient client = fx.connect();
+
+  // A cut wider than the widest cell is refused at submit time instead of
+  // failing inside the flow after a worker picked the job up.
+  JobRequest wide_cut = adder_request("wide-cut");
+  wide_cut.params["mapping"] = Json::parse(R"({"cut_size": 5})");
+  Json reply = client.submit(wide_cut);
+  EXPECT_EQ(reply.at("code").as_string(), "BAD_PARAMS");
+  EXPECT_NE(reply.at("message").as_string().find("'mapping.cut_size'"),
+            std::string::npos);
+
+  // A flag combination the flow cannot honour is refused, not run with one
+  // of the flags silently dropped.
+  JobRequest combo = adder_request("combo");
+  combo.params["use_choicemap"] = true;
+  combo.params["fraig_post"] = true;
+  reply = client.submit(combo);
+  EXPECT_EQ(reply.at("code").as_string(), "BAD_PARAMS");
+  EXPECT_NE(reply.at("message").as_string().find("fraig_post"),
+            std::string::npos);
+
+  // The server still serves afterwards.
+  ASSERT_EQ(client.submit(adder_request("ok")).at("type").as_string(),
+            "accepted");
   EXPECT_EQ(client.await("ok").at("type").as_string(), "result");
 }
 
