@@ -18,16 +18,6 @@
 // functionally equal, structurally different copies, so every window holds
 // real merge opportunities for the per-window flow (saturation + SAT sweep)
 // and the adopt/reject QoR gate has actual work to judge.
-//
-// Builds with google-benchmark when available, and against the bundled
-// minibench fallback otherwise (see EMORPHIC_USE_GBENCH in CMakeLists.txt).
-
-#ifdef EMORPHIC_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#else
-#include "minibench.hpp"
-namespace benchmark = minibench;
-#endif
 
 #include <cstdio>
 #include <fstream>
@@ -72,28 +62,6 @@ bool sim_equal(const Aig& a, const Aig& b) {
   Rng rng(42);
   return sim_probably_equal(a, b, rng, 32);
 }
-
-// --- micro benchmarks --------------------------------------------------------
-
-void BM_AssignWindows(benchmark::State& state) {
-  Aig aig = tile_to_ands(tile_base(), 100000);
-  for (auto _ : state) {
-    WindowAssignment a = assign_windows(aig, 4000);
-    benchmark::DoNotOptimize(a.num_windows);
-  }
-  state.SetItemsProcessed(state.iterations() * aig.num_ands());
-}
-BENCHMARK(BM_AssignWindows);
-
-void BM_BinaryAigerRoundTrip(benchmark::State& state) {
-  Aig aig = tile_to_ands(tile_base(), 100000);
-  for (auto _ : state) {
-    Aig back = read_aiger_binary(write_aiger_binary(aig));
-    benchmark::DoNotOptimize(back.num_ands());
-  }
-  state.SetItemsProcessed(state.iterations() * aig.num_ands());
-}
-BENCHMARK(BM_BinaryAigerRoundTrip);
 
 // --- the scaling ladder ------------------------------------------------------
 
@@ -280,8 +248,6 @@ bool run_scaling(const char* json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   const char* json_path = argc > 1 ? argv[1] : "BENCH_scale.json";
   return run_scaling(json_path) ? 0 : 1;
 }

@@ -1,5 +1,6 @@
 #include "aig/aig_io.hpp"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <sstream>
@@ -216,6 +217,110 @@ Aig read_equations(const std::string& text) {
 }
 
 // ---------------------------------------------------------------------------
+// AIGER helpers shared by both formats
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// AIGER's delta encoding is LEB128: 7 payload bits per byte, high bit set
+// on every byte but the last.
+void put_delta(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+// Strict decimal parse of a whole token: nonempty, digits only, no overflow.
+std::uint64_t parse_u64(const std::string& token, const char* what,
+                        const char* format = "aiger binary") {
+  std::uint64_t value = 0;
+  const char* begin = token.data();
+  const char* end = begin + token.size();
+  auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec != std::errc{} || ptr != end || token.empty()) {
+    throw std::runtime_error(std::string(format) + ": malformed " + what +
+                             " '" + token + "'");
+  }
+  return value;
+}
+
+// A parsed, validated AIGER body before any node is built. In both formats
+// the symbol table follows the structure, and PIs must carry their names
+// from construction, so each reader stages the structure and build_aiger
+// builds it once the names are known.
+struct StagedAiger {
+  std::uint64_t max_var = 0;            // M: AIGER variables are 1..M
+  std::vector<std::uint64_t> inputs;    // input literals, in PI order
+  std::vector<std::uint64_t> outputs;   // output literals, in PO order
+  // (lhs, rhs0, rhs1) per AND in definition order; every fanin is defined
+  // by an input or an earlier AND.
+  std::vector<std::array<std::uint64_t, 3>> ands;
+};
+
+// Reads the symbol table and the optional comment section of `text` from
+// byte `pos`, then builds `staged`. PIs and POs without a symbol keep the
+// default pi<i>/po<i> names. Blank lines are skipped; a "c" line ends the
+// table. `format` prefixes error messages.
+Aig build_aiger(const StagedAiger& staged, const std::string& text,
+                std::size_t pos, const char* format) {
+  const std::size_t num_inputs = staged.inputs.size();
+  const std::size_t num_outputs = staged.outputs.size();
+  std::vector<std::string> pi_names(num_inputs);
+  std::vector<std::string> po_names(num_outputs);
+  while (pos < text.size()) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) {
+      throw std::runtime_error(std::string(format) +
+                               ": truncated (no newline) in symbol section");
+    }
+    std::string line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (line.empty()) continue;
+    if (line == "c") break;  // comment section: ignore the rest
+    std::size_t space = line.find(' ');
+    if ((line[0] != 'i' && line[0] != 'o') || space == std::string::npos) {
+      throw std::runtime_error(std::string(format) +
+                               ": malformed symbol line '" + line + "'");
+    }
+    std::uint64_t index =
+        parse_u64(line.substr(1, space - 1), "symbol index", format);
+    const bool input = line[0] == 'i';
+    if (index >= (input ? num_inputs : num_outputs)) {
+      throw std::runtime_error(std::string(format) +
+                               (input ? ": input" : ": output") +
+                               " symbol index " + std::to_string(index) +
+                               " out of range");
+    }
+    (input ? pi_names : po_names)[static_cast<std::size_t>(index)] =
+        line.substr(space + 1);
+  }
+
+  Aig aig;
+  std::vector<Lit> var_lit(static_cast<std::size_t>(staged.max_var) + 1,
+                           kLitFalse);
+  auto to_lit = [&](std::uint64_t aiger_lit) -> Lit {
+    return lit_notcond(var_lit[static_cast<std::size_t>(aiger_lit >> 1)],
+                       (aiger_lit & 1) != 0);
+  };
+  for (std::size_t k = 0; k < num_inputs; ++k) {
+    var_lit[static_cast<std::size_t>(staged.inputs[k] >> 1)] =
+        make_lit(aig.add_pi(std::move(pi_names[k])));
+  }
+  for (const auto& [lhs, rhs0, rhs1] : staged.ands) {
+    var_lit[static_cast<std::size_t>(lhs >> 1)] =
+        aig.make_and(to_lit(rhs0), to_lit(rhs1));
+  }
+  for (std::size_t k = 0; k < num_outputs; ++k) {
+    aig.add_po(to_lit(staged.outputs[k]), std::move(po_names[k]));
+  }
+  return aig;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // ASCII AIGER
 // ---------------------------------------------------------------------------
 
@@ -278,12 +383,10 @@ Aig read_aiger(const std::string& text) {
     throw std::runtime_error("aiger: declared counts exceed input size");
   }
 
-  Aig aig;
+  StagedAiger staged;
+  staged.max_var = m;
   const std::uint64_t max_lit = 2 * m + 1;
-  std::vector<Lit> map(2 * (m + 1), kLitFalse);
   std::vector<bool> defined(2 * (m + 1), false);
-  map[0] = kLitFalse;
-  map[1] = kLitTrue;
   defined[0] = defined[1] = true;
 
   auto read_lit = [&](const char* section) -> std::uint64_t {
@@ -300,8 +403,9 @@ Aig read_aiger(const std::string& text) {
     return lit;
   };
 
-  for (std::uint64_t k = 0; k < i; ++k) {
-    std::uint64_t lit = read_lit("input");
+  staged.inputs.resize(i);
+  for (std::uint64_t& lit : staged.inputs) {
+    lit = read_lit("input");
     if (lit < 2 || (lit & 1) != 0) {
       throw std::runtime_error("aiger: invalid input literal " +
                                std::to_string(lit));
@@ -310,19 +414,17 @@ Aig read_aiger(const std::string& text) {
       throw std::runtime_error("aiger: literal " + std::to_string(lit) +
                                " defined twice");
     }
-    Var v = aig.add_pi();
-    map[lit] = make_lit(v);
-    map[lit ^ 1] = lit_not(make_lit(v));
     defined[lit] = defined[lit ^ 1] = true;
   }
 
-  std::vector<std::uint64_t> po_lits(o);
-  for (auto& lit : po_lits) lit = read_lit("output");
+  staged.outputs.resize(o);
+  for (std::uint64_t& lit : staged.outputs) lit = read_lit("output");
 
-  for (std::uint64_t k = 0; k < a; ++k) {
-    std::uint64_t out_lit = read_lit("and");
-    std::uint64_t in0 = read_lit("and");
-    std::uint64_t in1 = read_lit("and");
+  staged.ands.resize(a);
+  for (auto& [out_lit, in0, in1] : staged.ands) {
+    out_lit = read_lit("and");
+    in0 = read_lit("and");
+    in1 = read_lit("and");
     if (out_lit < 2 || (out_lit & 1) != 0) {
       throw std::runtime_error("aiger: invalid AND output literal " +
                                std::to_string(out_lit));
@@ -336,51 +438,28 @@ Aig read_aiger(const std::string& text) {
           "aiger: AND fanin used before definition (literal " +
           std::to_string(!defined[in0] ? in0 : in1) + ")");
     }
-    Lit f = aig.make_and(map[in0], map[in1]);
-    map[out_lit] = f;
-    map[out_lit ^ 1] = lit_not(f);
     defined[out_lit] = defined[out_lit ^ 1] = true;
   }
-  for (std::uint64_t lit : po_lits) {
+  for (std::uint64_t lit : staged.outputs) {
     if (!defined[lit]) {
       throw std::runtime_error("aiger: undefined output literal " +
                                std::to_string(lit));
     }
-    aig.add_po(map[lit]);
   }
-  return aig;
+
+  // The symbol table starts on the line after the last literal.
+  std::size_t pos = text.size();
+  const std::streamoff last = in.tellg();
+  if (last >= 0) {
+    std::size_t nl = text.find('\n', static_cast<std::size_t>(last));
+    if (nl != std::string::npos) pos = nl + 1;
+  }
+  return build_aiger(staged, text, pos, "aiger");
 }
 
 // ---------------------------------------------------------------------------
 // Binary AIGER
 // ---------------------------------------------------------------------------
-
-namespace {
-
-// AIGER's delta encoding is LEB128: 7 payload bits per byte, high bit set
-// on every byte but the last.
-void put_delta(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-// Strict decimal parse of a whole token: nonempty, digits only, no overflow.
-std::uint64_t parse_u64(const std::string& token, const char* what) {
-  std::uint64_t value = 0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end || token.empty()) {
-    throw std::runtime_error(std::string("aiger binary: malformed ") + what +
-                             " '" + token + "'");
-  }
-  return value;
-}
-
-}  // namespace
 
 std::string write_aiger_binary(const Aig& aig) {
   // Same PIs-first remap as write_aiger; in the binary format the remap is
@@ -428,9 +507,7 @@ std::string write_aiger_binary(const Aig& aig) {
 Aig read_aiger_binary(const std::string& bytes) {
   // Hardened to the same standard as read_aiger: truncation, fabricated
   // counts, malformed varints, and out-of-range deltas all throw
-  // std::runtime_error before any allocation is sized off them. Unlike
-  // read_aiger, the symbol table is parsed and PI/PO names preserved —
-  // partition checkpoints rely on names surviving the round trip.
+  // std::runtime_error before any allocation is sized off them.
   std::size_t pos = 0;
   auto read_line = [&](const char* section) -> std::string {
     std::size_t nl = bytes.find('\n', pos);
@@ -472,17 +549,21 @@ Aig read_aiger_binary(const std::string& bytes) {
       throw std::runtime_error("aiger binary: variable count out of range");
     }
 
-    Aig aig;
+    StagedAiger staged;
+    staged.max_var = m;
     const std::uint64_t max_lit = 2 * m + 1;
-    std::vector<std::uint64_t> po_lits(static_cast<std::size_t>(o));
-    for (std::uint64_t k = 0; k < o; ++k) {
-      std::uint64_t lit = parse_u64(read_line("output section"), "output literal");
+    staged.inputs.resize(static_cast<std::size_t>(i));
+    for (std::uint64_t k = 0; k < i; ++k) {
+      staged.inputs[static_cast<std::size_t>(k)] = 2 * (k + 1);
+    }
+    staged.outputs.resize(static_cast<std::size_t>(o));
+    for (std::uint64_t& lit : staged.outputs) {
+      lit = parse_u64(read_line("output section"), "output literal");
       if (lit > max_lit) {
         throw std::runtime_error("aiger binary: output literal " +
                                  std::to_string(lit) + " out of range (max " +
                                  std::to_string(max_lit) + ")");
       }
-      po_lits[static_cast<std::size_t>(k)] = lit;
     }
 
     auto read_delta = [&](const char* what) -> std::uint64_t {
@@ -508,11 +589,10 @@ Aig read_aiger_binary(const std::string& bytes) {
       }
     };
 
-    // AND fanins, decoded before any node is built: the symbol table sits
-    // after the binary section, and PIs must carry their names from
-    // construction, so structure is staged here and built at the end.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> and_rhs(
-        static_cast<std::size_t>(a));
+    // Variables 1..I are the implicit inputs, I+1..I+A the ANDs in
+    // definition order. Checking the deltas against lhs keeps every fanin
+    // below its AND, so it is defined when the AND is built.
+    staged.ands.resize(static_cast<std::size_t>(a));
     for (std::uint64_t k = 0; k < a; ++k) {
       std::uint64_t lhs = 2 * (i + 1 + k);
       std::uint64_t delta0 = read_delta("AND delta");
@@ -522,63 +602,9 @@ Aig read_aiger_binary(const std::string& bytes) {
                                  " has out-of-range deltas");
       }
       std::uint64_t rhs0 = lhs - delta0;
-      and_rhs[static_cast<std::size_t>(k)] = {rhs0, rhs0 - delta1};
+      staged.ands[static_cast<std::size_t>(k)] = {lhs, rhs0, rhs0 - delta1};
     }
-
-    std::vector<std::string> pi_names(static_cast<std::size_t>(i));
-    std::vector<std::string> po_names(static_cast<std::size_t>(o));
-    while (pos < bytes.size()) {
-      std::string line = read_line("symbol section");
-      if (line == "c") break;  // comment section: ignore the rest
-      if (line.empty() || (line[0] != 'i' && line[0] != 'o')) {
-        throw std::runtime_error("aiger binary: malformed symbol line '" +
-                                 line + "'");
-      }
-      std::size_t space = line.find(' ');
-      if (space == std::string::npos) {
-        throw std::runtime_error("aiger binary: malformed symbol line '" +
-                                 line + "'");
-      }
-      std::uint64_t index =
-          parse_u64(line.substr(1, space - 1), "symbol index");
-      std::string name = line.substr(space + 1);
-      if (line[0] == 'i') {
-        if (index >= i) {
-          throw std::runtime_error("aiger binary: input symbol index " +
-                                   std::to_string(index) + " out of range");
-        }
-        pi_names[static_cast<std::size_t>(index)] = std::move(name);
-      } else {
-        if (index >= o) {
-          throw std::runtime_error("aiger binary: output symbol index " +
-                                   std::to_string(index) + " out of range");
-        }
-        po_names[static_cast<std::size_t>(index)] = std::move(name);
-      }
-    }
-
-    // Build: variables 1..I are the implicit inputs, I+1..I+A the ANDs in
-    // definition order. Deltas were range-checked against lhs above, so
-    // every fanin variable is already defined when referenced.
-    std::vector<Lit> var_lit(static_cast<std::size_t>(m) + 1, kLitFalse);
-    for (std::uint64_t k = 0; k < i; ++k) {
-      var_lit[static_cast<std::size_t>(k) + 1] =
-          make_lit(aig.add_pi(pi_names[static_cast<std::size_t>(k)]));
-    }
-    auto to_lit = [&](std::uint64_t aiger_lit) -> Lit {
-      return lit_notcond(var_lit[static_cast<std::size_t>(aiger_lit >> 1)],
-                         (aiger_lit & 1) != 0);
-    };
-    for (std::uint64_t k = 0; k < a; ++k) {
-      const auto& [rhs0, rhs1] = and_rhs[static_cast<std::size_t>(k)];
-      var_lit[static_cast<std::size_t>(i + 1 + k)] =
-          aig.make_and(to_lit(rhs0), to_lit(rhs1));
-    }
-    for (std::uint64_t k = 0; k < o; ++k) {
-      aig.add_po(to_lit(po_lits[static_cast<std::size_t>(k)]),
-                 po_names[static_cast<std::size_t>(k)]);
-    }
-    return aig;
+    return build_aiger(staged, bytes, pos, "aiger binary");
   }
 }
 

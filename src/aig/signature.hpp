@@ -8,8 +8,8 @@
 // This is the key of the SA extractor's per-run QoR memo (sa_extractor.cpp):
 // re-visited extractions — common near convergence — skip technology mapping
 // entirely. A 64-bit hash makes collisions vanishingly unlikely at per-run
-// cache sizes (hundreds of entries); the micro_mapper bench cross-checks
-// cached against recomputed QoR end to end.
+// cache sizes (hundreds of entries); the SaMapped tests cross-check cached
+// against recomputed QoR end to end.
 
 #include <cstdint>
 

@@ -1,6 +1,6 @@
 #include "flow/warm_cache.hpp"
 
-#include "aig/signature.hpp"
+#include "aig/aig_io.hpp"
 #include "util/hash.hpp"
 
 namespace emorphic {
@@ -32,16 +32,19 @@ void WarmCache::prepare(FlowContext& ctx) {
   }
 }
 
-std::uint64_t WarmCache::flow_key(const Aig& input, std::uint64_t seed,
-                                  std::uint64_t params_fingerprint) {
-  std::uint64_t key = splitmix64(structural_signature(input));
-  return hash_fold(hash_fold(key, seed), params_fingerprint);
+FlowKey WarmCache::flow_key(const Aig& input, std::uint64_t seed,
+                            std::uint64_t params_fingerprint) {
+  FlowKey key;
+  key.input = write_aiger_binary(input);
+  key.hash = hash_fold(hash_fold(hash_fold(0, key.input), seed),
+                       params_fingerprint);
+  return key;
 }
 
-bool WarmCache::lookup_flow(std::uint64_t key, CachedFlow* out) {
+bool WarmCache::lookup_flow(const FlowKey& key, CachedFlow* out) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = flows_.find(key);
-  if (it == flows_.end()) {
+  auto it = flows_.find(key.hash);
+  if (it == flows_.end() || it->second.input != key.input) {
     ++flow_misses_;
     return false;
   }
@@ -50,9 +53,10 @@ bool WarmCache::lookup_flow(std::uint64_t key, CachedFlow* out) {
   return true;
 }
 
-void WarmCache::insert_flow(std::uint64_t key, CachedFlow cached) {
+void WarmCache::insert_flow(const FlowKey& key, CachedFlow cached) {
+  cached.input = key.input;
   std::lock_guard<std::mutex> lock(mutex_);
-  flows_.emplace(key, std::move(cached));
+  flows_.emplace(key.hash, std::move(cached));
 }
 
 WarmCacheStats WarmCache::stats() const {

@@ -15,10 +15,13 @@
 //     structures — identical circuits, or different circuits converging on
 //     the same substructures — skip technology mapping entirely.
 //  3. the flow-result cache: complete FlowQor + final AIG keyed by
-//     (input signature, seed, params fingerprint). A repeated request is
-//     answered without running the flow at all. Opt-in per lookup — the
-//     service uses it; run_batch deliberately does not (a batch is usually
-//     distinct circuits, and callers expect fresh telemetry).
+//     (input bytes, seed, params fingerprint). The input bytes are its
+//     binary AIGER, structure and names; each entry keeps them and a hit
+//     must match them exactly, so a hash collision is a miss, never a
+//     wrong answer. A repeated request is answered without running the
+//     flow at all. Opt-in per lookup — the service uses it; run_batch
+//     deliberately does not (a batch is usually distinct circuits, and
+//     callers expect fresh telemetry).
 //
 // Sharing any layer never changes results: the matcher is a pure function
 // of the library, the QoR memo caches a deterministic evaluator's own
@@ -35,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -44,7 +48,7 @@
 
 namespace emorphic {
 
-/// Telemetry snapshot (BENCH_service.json reports these as hit rates).
+/// Telemetry snapshot.
 struct WarmCacheStats {
   std::uint64_t qor_hits = 0;
   std::uint64_t qor_misses = 0;
@@ -55,6 +59,13 @@ struct WarmCacheStats {
   std::size_t matchers = 0;  // distinct libraries canonized
 };
 
+/// Key of one flow-result cache entry: the hash to look it up under and the
+/// input bytes a hit must match.
+struct FlowKey {
+  std::uint64_t hash = 0;
+  std::string input;  // write_aiger_binary of the flow's input
+};
+
 /// What the flow-result cache stores: enough to answer a service request
 /// (QoR, the optimized network, the verification verdict) without the
 /// mapped netlist (responses ship the AIG as AIGER text).
@@ -62,6 +73,7 @@ struct CachedFlow {
   FlowQor qor;
   Aig final_aig;
   CecStatus verify_status = CecStatus::kUndecided;
+  std::string input;  // the key's input bytes, compared on every hit
 };
 
 class WarmCache {
@@ -89,18 +101,20 @@ class WarmCache {
 
   // --- flow-result cache -----------------------------------------------
 
-  /// Cache key of a deterministic flow run: the input's structural
-  /// signature, the seed, and a caller-provided fingerprint of everything
-  /// else that shapes the result (params + pipeline identity).
-  static std::uint64_t flow_key(const Aig& input, std::uint64_t seed,
-                                std::uint64_t params_fingerprint);
+  /// Cache key of a deterministic flow run: the input's binary AIGER
+  /// bytes, the seed, and a caller-provided fingerprint of everything else
+  /// that shapes the result (params + pipeline identity).
+  static FlowKey flow_key(const Aig& input, std::uint64_t seed,
+                          std::uint64_t params_fingerprint);
 
-  /// Look a finished flow up; counts hits/misses.
-  bool lookup_flow(std::uint64_t key, CachedFlow* out);
+  /// Look a finished flow up; counts hits/misses. An entry under the same
+  /// hash whose input bytes differ from key.input is a miss.
+  bool lookup_flow(const FlowKey& key, CachedFlow* out);
 
-  /// Store a finished flow (first writer wins on duplicate keys — both
-  /// wrote the same deterministic result anyway).
-  void insert_flow(std::uint64_t key, CachedFlow cached);
+  /// Store a finished flow with key.input as its input bytes (first writer
+  /// wins on duplicate hashes — for equal inputs both wrote the same
+  /// deterministic result anyway).
+  void insert_flow(const FlowKey& key, CachedFlow cached);
 
   WarmCacheStats stats() const;
 

@@ -55,7 +55,7 @@ struct FraigParams {
   /// patterns (the result is always functionally equivalent either way).
   std::uint64_t seed = 0x5eedf4a1;
   /// When false, skip simulation entirely and SAT-query all node pairs —
-  /// the naive sweeping baseline that bench/micro_fraig measures against.
+  /// the naive sweeping baseline the guided sweep is tested against.
   bool use_simulation = true;
 };
 

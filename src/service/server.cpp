@@ -494,7 +494,7 @@ void SynthServer::process(std::shared_ptr<Job> job, FlowContext& ctx) {
   if (job->cache_eligible && result.stop_reason == FlowStopReason::kNone) {
     cache_->insert_flow(job->cache_key,
                         CachedFlow{result.qor, result.final_aig,
-                                   result.verify_status});
+                                   result.verify_status, {}});
   }
   stat_completed_.fetch_add(1, std::memory_order_relaxed);
   finish(job, make_result(result.qor, result.final_aig, result.verify_status,

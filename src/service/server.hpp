@@ -144,7 +144,7 @@ class SynthServer {
     Pipeline pipeline;         // built from the flow factory at admission
     std::atomic<bool> cancel{false};
     Timer admitted;            // deadline_s counts from admission
-    std::uint64_t cache_key = 0;
+    FlowKey cache_key;
     bool cache_eligible = false;
   };
 

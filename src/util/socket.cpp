@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -19,6 +20,15 @@ namespace {
 }
 
 constexpr char kFrameMagic[4] = {'E', 'M', 'S', '1'};
+
+// A request is a few small frames each way. With Nagle's algorithm on, a
+// frame written behind an unacknowledged one waits for the peer's delayed
+// ACK (tens of ms on loopback), so both ends of a TCP connection send
+// immediately.
+void set_nodelay(const Socket& sock) {
+  int one = 1;
+  ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
 
 }  // namespace
 
@@ -110,6 +120,7 @@ Socket Socket::connect_tcp(const std::string& host, std::uint16_t port) {
                 sizeof(addr)) != 0) {
     throw_errno("connect(" + host + ")");
   }
+  set_nodelay(sock);
   return sock;
 }
 
@@ -123,8 +134,14 @@ std::pair<Socket, Socket> Socket::pair() {
 
 Socket Socket::accept() const {
   while (true) {
-    int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) return Socket(fd);
+    sockaddr_storage peer{};
+    socklen_t len = sizeof(peer);
+    int fd = ::accept(fd_, reinterpret_cast<sockaddr*>(&peer), &len);
+    if (fd >= 0) {
+      Socket conn(fd);
+      if (peer.ss_family == AF_INET) set_nodelay(conn);
+      return conn;
+    }
     if (errno == EINTR) continue;
     // shutdown_both() on the listener surfaces as EINVAL (Linux); a closed
     // descriptor as EBADF. Both mean "the server is stopping".

@@ -15,6 +15,7 @@
 //
 // All writes use send(MSG_NOSIGNAL): a client that disconnects mid-response
 // produces an error return, never a SIGPIPE that would kill the daemon.
+// TCP sockets, connected or accepted, have TCP_NODELAY set.
 
 #include <cstddef>
 #include <cstdint>

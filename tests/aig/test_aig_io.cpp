@@ -62,6 +62,37 @@ TEST(AigIo, AigerRoundTrip) {
   }
 }
 
+TEST(AigIo, AigerRoundTripKeepsSignalNames) {
+  Aig aig = testing::named_full_adder("alice_");
+  Aig back = read_aiger(write_aiger(aig));
+  ASSERT_EQ(back.num_pis(), 3u);
+  ASSERT_EQ(back.num_pos(), 2u);
+  EXPECT_EQ(back.pi_name(0), "alice_a");
+  EXPECT_EQ(back.pi_name(1), "alice_b");
+  EXPECT_EQ(back.pi_name(2), "alice_cin");
+  EXPECT_EQ(back.po_name(0), "alice_sum");
+  EXPECT_EQ(back.po_name(1), "alice_out");
+  EXPECT_TRUE(testing::functionally_equal(aig, back));
+}
+
+TEST(AigIo, AigerSymbolTableIsOptionalPerSignal) {
+  // Unnamed signals keep the default names; the comment section is ignored.
+  Aig aig = read_aiger(
+      "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni1 enable\nc\ni0 not a symbol\n");
+  EXPECT_EQ(aig.pi_name(0), "pi0");
+  EXPECT_EQ(aig.pi_name(1), "enable");
+  EXPECT_EQ(aig.po_name(0), "po0");
+  EXPECT_EQ(exhaustive_tt(aig, 0), tt_var(0, 2) & tt_var(1, 2));
+}
+
+TEST(AigIo, AigerRejectsMalformedSymbolTable) {
+  const std::string body = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n";
+  EXPECT_THROW(read_aiger(body + "x0 name\n"), std::runtime_error);
+  EXPECT_THROW(read_aiger(body + "i2 name\n"), std::runtime_error);
+  EXPECT_THROW(read_aiger(body + "o1 name\n"), std::runtime_error);
+  EXPECT_THROW(read_aiger(body + "i0\n"), std::runtime_error);
+}
+
 TEST(AigIo, AigerHeaderValidation) {
   EXPECT_THROW(read_aiger("aig 1 1 0 0 0\n"), std::runtime_error);
   EXPECT_THROW(read_aiger("aag 2 1 1 0 0\n2\n"), std::runtime_error);  // latch

@@ -1,14 +1,14 @@
 #pragma once
-// The pre-overhaul e-graph core, preserved verbatim for the before/after
-// saturation benchmark in bench/micro_egraph.cpp.
+// The pre-overhaul e-graph core, preserved verbatim as the reference for
+// the uncapped saturation cross-check in test_legacy_crosscheck.cpp.
 //
 // This is the seed implementation that src/egraph/ replaced: a
 // std::unordered_map<ENode, EClassId> hashcons, std::vector-backed class
 // member lists, a const_cast path-halving union-find, a full-graph stale
 // sweep on every rebuild, and a runner that scans every rule against every
-// e-class with no head-operator index and no threading. Keeping it here (and
-// only here — nothing in src/ uses it) lets BENCH_egraph.json report a real
-// old-vs-new speedup from a single binary, on the same machine, forever.
+// e-class with no head-operator index and no threading. Nothing in src/
+// uses it: it exists so the current core can be checked against the seed
+// algorithm it replaced.
 
 #include <algorithm>
 #include <cstdint>
@@ -396,7 +396,7 @@ inline RunStats run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
 }
 
 /// AIG -> legacy e-graph, mirroring flow/conversion's aig_to_egraph (minus
-/// root bookkeeping, which the saturation benchmark does not need).
+/// root bookkeeping, which the cross-check does not need).
 inline EGraph egraph_from_aig(const Aig& aig) {
   EGraph eg;
   std::vector<EClassId> class_of(aig.num_nodes(), kNoEClass);

@@ -6,6 +6,8 @@
 //    SAT verification;
 //  * choice-aware mapping of a choice-free AIG reproduces plain
 //    map_to_cells exactly (bit-identical netlist);
+//  * on benchgen circuits the Pareto-gated cover is never worse than plain
+//    mapping of the same extraction, and strictly smaller on at least one;
 //  * the registered stage slots into pipelines and the prebuilt
 //    use_choicemap flow stays cec-equivalent end to end.
 
@@ -17,6 +19,7 @@
 
 #include "../test_helpers.hpp"
 #include "benchgen/arith.hpp"
+#include "benchgen/control.hpp"
 #include "cec/cec.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
@@ -116,6 +119,58 @@ TEST(ChoiceExport, ChoiceFreeMappingReproducesPlainMappingExactly) {
     EXPECT_EQ(plain.area(), via_choices.area());
     EXPECT_EQ(plain.delay(), via_choices.delay());
   }
+}
+
+TEST(ChoiceExport, GatedCoverNeverLosesToPlainMappingOnBenchgenCircuits) {
+  // Plain vs. choice-aware mapping of one committed extraction. The ring_cap
+  // = 0 export is the bare extraction with the full export's node numbering,
+  // so both mappings see the same base network and any QoR delta comes from
+  // the rings. The Pareto-gated cover (what the choicemap stage ships) must
+  // never be worse in area or delay, and must win area somewhere.
+  Matcher matcher(CellLibrary::asap7_like());
+  MapperParams map_params;
+  bool any_strictly_better = false;
+  bool any_rings = false;
+  const std::pair<const char*, Aig> cases[] = {
+      {"adder8", make_adder(8)},
+      {"adder16", make_adder(16)},
+      {"multiplier4", make_multiplier(4)},
+      {"square5", make_square(5)},
+      {"arbiter4", make_arbiter(4)}};
+  for (const auto& [name, aig] : cases) {
+    SCOPED_TRACE(name);
+    CircuitEGraph ce = aig_to_egraph(aig);
+    RunnerParams params;
+    params.max_iterations = 4;
+    params.max_enodes = 30000;
+    params.max_matches_per_rule = 5000;
+    run_rewriting(ce.egraph, make_logic_rules(), params);
+    Extraction solution =
+        greedy_extract(ce.egraph, CostModel{CostKind::kDepth});
+
+    ChoiceExportParams no_choices;
+    no_choices.ring_cap = 0;
+    Aig plain_aig = egraph_to_choice_aig(ce, solution, no_choices).aig;
+    MappedNetlist plain = map_to_cells(plain_aig, matcher, map_params);
+
+    ChoiceExportStats stats;
+    ChoiceAig caig = egraph_to_choice_aig(ce, solution, {}, &stats);
+    MappedNetlist raw = map_to_cells(caig, matcher, map_params);
+    ChoiceMapOutcome adopted =
+        map_with_choices_gated(caig, matcher, map_params);
+
+    EXPECT_EQ(cec(aig, plain.to_aig()).status, CecStatus::kEquivalent);
+    EXPECT_EQ(cec(aig, raw.to_aig()).status, CecStatus::kEquivalent);
+    EXPECT_EQ(cec(aig, adopted.netlist.to_aig()).status,
+              CecStatus::kEquivalent);
+    EXPECT_LE(adopted.netlist.area(), plain.area() + 1e-9);
+    EXPECT_LE(adopted.netlist.delay(), plain.delay() + 1e-9);
+    any_strictly_better =
+        any_strictly_better || adopted.netlist.area() < plain.area() - 1e-9;
+    any_rings = any_rings || stats.alts_kept > 0;
+  }
+  EXPECT_TRUE(any_strictly_better);
+  EXPECT_TRUE(any_rings);
 }
 
 TEST(ChoicemapStage, RegisteredAndRunsInAPipeline) {

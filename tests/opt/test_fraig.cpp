@@ -4,6 +4,7 @@
 
 #include "../test_helpers.hpp"
 #include "benchgen/arith.hpp"
+#include "benchgen/control.hpp"
 #include "benchgen/doubling.hpp"
 #include "cec/cec.hpp"
 
@@ -70,25 +71,46 @@ TEST(Fraig, MergesComplementEquivalentNodes) {
   EXPECT_NE(swept.po(0), swept.po(1));
 }
 
+/// A complete sweep: no proof budget and no class-size cap. Naive and guided
+/// sweeps merge alike only when both are complete (naive has no cap).
+FraigParams uncapped(bool use_simulation) {
+  FraigParams params;
+  params.use_simulation = use_simulation;
+  params.conflict_limit = 0;
+  params.max_class_size = static_cast<std::size_t>(-1);
+  return params;
+}
+
 TEST(Fraig, NaiveAndGuidedSweepsAgree) {
-  Aig aig = doubled(make_adder(4));
-  // Uncapped on both sides: the equality invariant only holds for complete
-  // sweeps (naive has no class-size cap).
-  FraigParams guided_params;
-  guided_params.conflict_limit = 0;
-  guided_params.max_class_size = static_cast<std::size_t>(-1);
-  FraigParams naive_params;
-  naive_params.use_simulation = false;
-  naive_params.conflict_limit = 0;
-  FraigStats guided_stats, naive_stats;
-  Aig guided = fraig(aig, guided_params, &guided_stats);
-  Aig naive = fraig(aig, naive_params, &naive_stats);
-  EXPECT_EQ(guided.num_ands(), naive.num_ands());
-  EXPECT_EQ(guided_stats.proved, naive_stats.proved);
-  EXPECT_LT(guided_stats.sat_calls, naive_stats.sat_calls)
-      << "simulation must prune the candidate pairs";
+  // Small widths: the naive baseline is quadratic in SAT queries by design.
+  const std::pair<const char*, Aig> cases[] = {
+      {"adder4", make_adder(4)},
+      {"adder6", make_adder(6)},
+      {"multiplier4", make_multiplier(4)},
+      {"square4", make_square(4)},
+      {"arbiter4", make_arbiter(4)}};
+  for (const auto& [name, base] : cases) {
+    SCOPED_TRACE(name);
+    Aig aig = doubled(base);
+    FraigStats guided_stats, naive_stats;
+    Aig guided = fraig(aig, uncapped(true), &guided_stats);
+    Aig naive = fraig(aig, uncapped(false), &naive_stats);
+    EXPECT_LT(guided.num_ands(), aig.num_ands());
+    EXPECT_EQ(guided.num_ands(), naive.num_ands());
+    EXPECT_EQ(guided_stats.proved, naive_stats.proved);
+    EXPECT_LT(guided_stats.sat_calls, naive_stats.sat_calls)
+        << "simulation must prune the candidate pairs";
+    EXPECT_EQ(cec(aig, guided).status, CecStatus::kEquivalent);
+    EXPECT_EQ(cec(aig, naive).status, CecStatus::kEquivalent);
+  }
+}
+
+TEST(Fraig, GuidedSweepShrinksAWideDoubledAdder) {
+  // A width where the naive baseline would take minutes.
+  Aig aig = doubled(make_adder(24));
+  Aig guided = fraig(aig, uncapped(true));
+  EXPECT_LT(guided.num_ands(), aig.num_ands());
   EXPECT_EQ(cec(aig, guided).status, CecStatus::kEquivalent);
-  EXPECT_EQ(cec(aig, naive).status, CecStatus::kEquivalent);
 }
 
 TEST(Fraig, ParallelSimulationDoesNotChangeTheResult) {

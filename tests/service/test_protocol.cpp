@@ -1,8 +1,11 @@
 // Wire protocol units: framing round-trips and corruption handling
-// (util/socket.hpp), JobRequest parsing, FlowParams overrides, and the
-// params fingerprint.
+// (util/socket.hpp), TCP socket options, JobRequest parsing, FlowParams
+// overrides, and the params fingerprint.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <cstring>
 #include <stdexcept>
@@ -76,6 +79,28 @@ TEST(Framing, TruncatedPayloadThrows) {
   a.close();
   std::string got;
   EXPECT_THROW(read_frame(b, &got), std::runtime_error);
+}
+
+// --- TCP sockets ------------------------------------------------------------
+
+bool nodelay(const Socket& socket) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(socket.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len),
+            0);
+  return value != 0;
+}
+
+TEST(TcpSocket, BothEndsDisableNagle) {
+  // One request is a few small frames each way; with Nagle on, a frame
+  // written behind an unacknowledged one waits for the peer's delayed ACK.
+  std::uint16_t port = 0;
+  Socket listener = Socket::listen_tcp_loopback(0, &port);
+  Socket client = Socket::connect_tcp("127.0.0.1", port);
+  Socket server = listener.accept();
+  ASSERT_TRUE(server.valid());
+  EXPECT_TRUE(nodelay(client));
+  EXPECT_TRUE(nodelay(server));
 }
 
 // --- JobRequest -------------------------------------------------------------

@@ -1,5 +1,6 @@
-// SynthServer end-to-end: jobs over real sockets, plus the abuse suite the
-// ISSUE demands — malformed input, mid-flight cancellation, deadline
+// SynthServer end-to-end: jobs over real sockets (served QoR equals a
+// one-shot run, served circuits are equivalent and keep their names), plus
+// the abuse suite — malformed input, mid-flight cancellation, deadline
 // expiry, queue-full rejection — all answered with typed errors while the
 // server keeps serving, and a drain-on-shutdown check.
 
@@ -10,8 +11,11 @@
 #include <memory>
 #include <thread>
 
+#include "../test_helpers.hpp"
 #include "aig/aig_io.hpp"
 #include "benchgen/arith.hpp"
+#include "benchgen/control.hpp"
+#include "cec/cec.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 
@@ -118,6 +122,85 @@ TEST(SynthServer, CompletesAJobAndServesRepeatsFromCache) {
   EXPECT_FALSE(fresh.at("cache_hit").as_bool());
 
   EXPECT_EQ(fx.server->stats().result_cache_hits, 1u);
+}
+
+TEST(SynthServer, ServedCircuitsAreEquivalentAndMatchOneShotRuns) {
+  // Serving through the warm substrate (shared matcher, QoR memo, worker
+  // contexts) must not change answers: the served QoR equals a one-shot
+  // Pipeline::emorphic run at the same seed, and the served circuit
+  // CEC-proves against its input.
+  ServerFixture fx;
+  SynthClient client = fx.connect();
+  const std::pair<const char*, Aig> cases[] = {{"adder8", make_adder(8)},
+                                               {"arbiter6", make_arbiter(6)},
+                                               {"square6", make_square(6)}};
+  for (const auto& [name, aig] : cases) {
+    SCOPED_TRACE(name);
+    JobRequest req;
+    req.id = name;
+    req.circuit = write_aiger(aig);
+    req.seed = 1;
+    req.return_circuit = true;
+    ASSERT_EQ(client.submit(req).at("type").as_string(), "accepted");
+    Json served = client.await(name);
+    ASSERT_EQ(served.at("type").as_string(), "result");
+
+    FlowContext ctx;
+    ctx.params = quick_params();
+    ctx.input = aig;
+    ctx.seed = 1;
+    FlowResult local = Pipeline::emorphic(ctx.params).run(ctx);
+    const Json& qor = served.at("qor");
+    EXPECT_EQ(qor.at("area").as_number(), local.qor.area);
+    EXPECT_EQ(qor.at("delay").as_number(), local.qor.delay);
+    EXPECT_EQ(qor.at("lev").as_int(), static_cast<std::int64_t>(local.qor.lev));
+
+    Aig output = read_aiger(served.at("circuit").as_string());
+    EXPECT_EQ(cec(aig, output).status, CecStatus::kEquivalent);
+  }
+}
+
+TEST(SynthServer, ReturnsTheClientsSignalNamesAndKeysTheCacheOnThem) {
+  ServerFixture fx;
+  SynthClient client = fx.connect();
+  auto run = [&](const std::string& id, const Aig& aig) {
+    JobRequest req;
+    req.id = id;
+    req.circuit = write_aiger(aig);
+    req.return_circuit = true;
+    EXPECT_EQ(client.submit(req).at("type").as_string(), "accepted");
+    return client.await(id);
+  };
+
+  Json alice = run("alice", testing::named_full_adder("alice_"));
+  ASSERT_EQ(alice.at("type").as_string(), "result");
+  EXPECT_FALSE(alice.at("cache_hit").as_bool());
+  Aig alice_out = read_aiger(alice.at("circuit").as_string());
+  ASSERT_EQ(alice_out.num_pis(), 3u);
+  ASSERT_EQ(alice_out.num_pos(), 2u);
+  EXPECT_EQ(alice_out.pi_name(0), "alice_a");
+  EXPECT_EQ(alice_out.pi_name(2), "alice_cin");
+  EXPECT_EQ(alice_out.po_name(0), "alice_sum");
+  EXPECT_EQ(alice_out.po_name(1), "alice_out");
+
+  // Same structure and seed under other names: not the cached answer,
+  // which would carry alice's names.
+  Json bob = run("bob", testing::named_full_adder("bob_"));
+  ASSERT_EQ(bob.at("type").as_string(), "result");
+  EXPECT_FALSE(bob.at("cache_hit").as_bool());
+  Aig bob_out = read_aiger(bob.at("circuit").as_string());
+  ASSERT_EQ(bob_out.num_pos(), 2u);
+  EXPECT_EQ(bob_out.pi_name(0), "bob_a");
+  EXPECT_EQ(bob_out.po_name(1), "bob_out");
+  EXPECT_EQ(bob.at("qor").at("area").as_number(),
+            alice.at("qor").at("area").as_number());
+
+  // An exact repeat is still answered from the cache, names included.
+  Json again = run("alice-again", testing::named_full_adder("alice_"));
+  ASSERT_EQ(again.at("type").as_string(), "result");
+  EXPECT_TRUE(again.at("cache_hit").as_bool());
+  EXPECT_EQ(read_aiger(again.at("circuit").as_string()).po_name(1),
+            "alice_out");
 }
 
 TEST(SynthServer, LutmapParamsSelectTheLutBackendWithItsOwnCacheKey) {

@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "../test_helpers.hpp"
+#include "aig/signature.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
 #include "flow/batch.hpp"
@@ -88,7 +90,7 @@ TEST(WarmCache, ConcurrentMatcherRequestsConverge) {
 TEST(WarmCache, FlowResultCacheHitsAndCounts) {
   WarmCache cache;
   Aig adder = make_adder(4);
-  std::uint64_t key = WarmCache::flow_key(adder, 1, 42);
+  FlowKey key = WarmCache::flow_key(adder, 1, 42);
 
   CachedFlow out;
   EXPECT_FALSE(cache.lookup_flow(key, &out));
@@ -103,6 +105,7 @@ TEST(WarmCache, FlowResultCacheHitsAndCounts) {
   ASSERT_TRUE(cache.lookup_flow(key, &out));
   EXPECT_DOUBLE_EQ(out.qor.area, 12.5);
   EXPECT_EQ(out.verify_status, CecStatus::kEquivalent);
+  EXPECT_EQ(out.input, key.input);
 
   WarmCacheStats stats = cache.stats();
   EXPECT_EQ(stats.result_hits, 1u);
@@ -113,11 +116,39 @@ TEST(WarmCache, FlowResultCacheHitsAndCounts) {
 TEST(WarmCache, FlowKeySeparatesInputsSeedsAndParams) {
   Aig adder = make_adder(4);
   Aig arbiter = make_arbiter(4);
-  std::uint64_t base = WarmCache::flow_key(adder, 1, 42);
-  EXPECT_NE(base, WarmCache::flow_key(arbiter, 1, 42));
-  EXPECT_NE(base, WarmCache::flow_key(adder, 2, 42));
-  EXPECT_NE(base, WarmCache::flow_key(adder, 1, 43));
-  EXPECT_EQ(base, WarmCache::flow_key(make_adder(4), 1, 42));
+  std::uint64_t base = WarmCache::flow_key(adder, 1, 42).hash;
+  EXPECT_NE(base, WarmCache::flow_key(arbiter, 1, 42).hash);
+  EXPECT_NE(base, WarmCache::flow_key(adder, 2, 42).hash);
+  EXPECT_NE(base, WarmCache::flow_key(adder, 1, 43).hash);
+  EXPECT_EQ(base, WarmCache::flow_key(make_adder(4), 1, 42).hash);
+
+  // Same structure under other names: the served circuit carries the
+  // names, so it is another input.
+  Aig alice = testing::named_full_adder("alice_");
+  Aig bob = testing::named_full_adder("bob_");
+  ASSERT_EQ(structural_signature(alice), structural_signature(bob));
+  EXPECT_NE(WarmCache::flow_key(alice, 1, 42).hash,
+            WarmCache::flow_key(bob, 1, 42).hash);
+}
+
+TEST(WarmCache, LookupVerifiesTheInputBytesOnEveryHit) {
+  // Two inputs that land on one hash (a 64-bit collision, forced here)
+  // must not be served each other's results.
+  WarmCache cache;
+  FlowKey stored_key = WarmCache::flow_key(make_adder(4), 1, 42);
+  CachedFlow stored;
+  stored.qor.area = 12.5;
+  cache.insert_flow(stored_key, stored);
+
+  FlowKey colliding = WarmCache::flow_key(make_arbiter(4), 1, 42);
+  colliding.hash = stored_key.hash;
+  CachedFlow out;
+  EXPECT_FALSE(cache.lookup_flow(colliding, &out));
+  EXPECT_TRUE(cache.lookup_flow(stored_key, &out));
+
+  WarmCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.result_hits, 1u);
+  EXPECT_EQ(stats.result_misses, 1u);
 }
 
 /// The determinism gate (ISSUE satellite): N worker threads sharing one
@@ -226,8 +257,7 @@ TEST(WarmCache, WorkerContextReuseIsFlatAndDeterministic) {
 TEST(WarmCache, ClearResetsEverything) {
   WarmCache cache;
   cache.matcher_for(CellLibrary::asap7_like());
-  CachedFlow flow;
-  cache.insert_flow(1, flow);
+  cache.insert_flow(WarmCache::flow_key(make_adder(4), 1, 42), CachedFlow{});
   cache.clear();
   WarmCacheStats stats = cache.stats();
   EXPECT_EQ(stats.matchers, 0u);

@@ -1,7 +1,9 @@
 #pragma once
-// Shared helpers for the test suite: random AIG generation, pattern
-// evaluation over truth tables, functional fingerprints.
+// Shared helpers for the test suite: random AIG generation, a named
+// fixture circuit, pattern evaluation over truth tables, functional
+// fingerprints.
 
+#include <string>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -33,6 +35,19 @@ inline Aig random_aig(unsigned num_pis, unsigned num_pos, unsigned num_ands,
     if (rng.chance(0.3)) po = lit_not(po);
     aig.add_po(po);
   }
+  return aig;
+}
+
+/// A full adder with PIs <prefix>a, <prefix>b, <prefix>cin and POs
+/// <prefix>sum, <prefix>out: two calls with different prefixes give the
+/// same structure under different names.
+inline Aig named_full_adder(const std::string& prefix) {
+  Aig aig;
+  Lit a = make_lit(aig.add_pi(prefix + "a"));
+  Lit b = make_lit(aig.add_pi(prefix + "b"));
+  Lit cin = make_lit(aig.add_pi(prefix + "cin"));
+  aig.add_po(aig.make_xor(aig.make_xor(a, b), cin), prefix + "sum");
+  aig.add_po(aig.make_maj(a, b, cin), prefix + "out");
   return aig;
 }
 
