@@ -152,6 +152,7 @@ Measurement bench_flow_steady() {
   params.rewrite.max_enodes = 8000;
   params.rewrite.time_limit_s = 1e9;
   params.sa.num_threads = 1;  // deterministic allocation counts
+  params.rewrite.match_threads = 1;  // deterministic allocation counts
   params.sa.iterations = 2;
   params.sa.moves_per_iteration = 2;
   params.verify = false;

@@ -155,9 +155,9 @@ bool run_scaling(const char* json_path) {
 
     std::size_t applied = 0;
     for (std::size_t a : result.rewrite_report.rule_applications) applied += a;
-    // The runner notices the blown budget during its first apply phase, so
-    // a handful of rewrites may land before the halt — the gate is that it
-    // stops at the node limit with nothing to show for it (no reduction).
+    // The input is over the budget before iteration 0, so the runner stops
+    // without searching or applying anything — the gate is that it stops
+    // at the node limit with nothing to show for it (no reduction).
     bool whole_stuck = result.rewrite_report.stop_reason ==
                            StopReason::kNodeLimit &&
                        result.final_aig.num_ands() >= big.num_ands();

@@ -11,12 +11,17 @@
 // Each iteration is three phases:
 //   1. search — e-matching against a frozen e-graph. Rules are indexed by
 //      their head operator, so a rule only visits classes that contain at
-//      least one e-node with that operator; the search is read-only and can
-//      be threaded across e-classes (`RunnerParams::match_threads`).
-//   2. apply — all collected matches are instantiated and merged serially.
+//      least one e-node with that operator. The search is read-only: each
+//      rule's candidates are cut into fixed chunks that the calling thread
+//      and `RunnerParams::match_threads - 1` helpers claim in order, and a
+//      rule stops being searched once its leading chunks hold its cap.
+//   2. apply — all collected matches are instantiated and merged serially,
+//      until the e-graph has created more than `max_enodes` classes.
 //   3. rebuild — one deferred congruence restoration for the whole batch.
-// The match lists are identical whatever the thread count and whether the
-// index is on, so saturation results are bit-for-bit reproducible.
+// An iteration that would start over that budget is not run at all: the run
+// stops with StopReason::kNodeLimit before searching. The match lists are
+// identical whatever the thread count and whether the index is on, so
+// saturation results are bit-for-bit reproducible.
 
 #include <cstddef>
 #include <functional>
@@ -31,7 +36,8 @@ namespace emorphic {
 struct RunnerParams {
   /// Upper bound on search/apply/rebuild iterations.
   std::size_t max_iterations = 5;
-  /// Stop once the e-graph holds this many e-nodes (the paper's memory cap).
+  /// The paper's memory cap: stop once the e-graph holds this many e-nodes,
+  /// and apply no more matches once it has created more classes than this.
   std::size_t max_enodes = 250000;
   /// Wall-clock budget for the whole run, in seconds. Polled between
   /// iterations (an over-budget iteration finishes first), so hitting it
@@ -40,9 +46,11 @@ struct RunnerParams {
   /// Cap on matches gathered per rule per iteration: keeps pathological
   /// rules (associativity on deep chains) from starving the others.
   std::size_t max_matches_per_rule = 20000;
-  /// Worker threads for the read-only match phase: 1 = serial (default),
-  /// 0 = hardware concurrency. Results are independent of this setting.
-  unsigned match_threads = 1;
+  /// Threads for the read-only match phase, the calling thread included:
+  /// 4 by default (as many as SaParams::num_threads), 1 = the same chunk loop
+  /// on the caller alone, 0 = hardware concurrency. Results are independent
+  /// of this setting.
+  unsigned match_threads = 4;
   /// Consult the head-operator rule index so each rule only visits candidate
   /// classes. Off = scan every class per rule (the pre-index behavior; kept
   /// as a correctness oracle for tests and benches).

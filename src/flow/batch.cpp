@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "util/hash.hpp"
+#include "util/thread_pool.hpp"
 
 namespace emorphic {
 

@@ -393,12 +393,12 @@ void LutMapStage::run(FlowContext& ctx) const {
                                                 &ctx.choice_stats);
     ctx.current = egraph_to_aig(*ctx.egraph, solution);
     LutChoiceOutcome outcome = map_luts_with_choices_gated(
-        choice_aig, lut_params, &ctx.lut_workspace, ctx.pool);
+        choice_aig, lut_params, &ctx.lut_workspace, nullptr);
     ctx.lut_netlist = std::move(outcome.network);
   } else {
     ctx.current = strash(ctx.current);
     ctx.lut_netlist =
-        map_to_luts(ctx.current, lut_params, &ctx.lut_workspace, ctx.pool);
+        map_to_luts(ctx.current, lut_params, &ctx.lut_workspace, nullptr);
   }
   // The two backends are mutually exclusive outputs of one run: a stale
   // cell netlist would misreport the flow that actually ran.

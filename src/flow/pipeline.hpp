@@ -33,7 +33,6 @@
 #include "opt/partition.hpp"
 #include "opt/resyn.hpp"
 #include "opt/sop_balance.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace emorphic {
@@ -269,10 +268,6 @@ struct FlowContext {
   /// params.library (the paper's quality-prioritized mode).
   const QorEvaluator* evaluator = nullptr;
   FlowObserver* observer = nullptr;
-  /// Shared worker pool, reserved for stages that fan work out. The batch
-  /// driver keeps this null for its own pool: stages must not block on the
-  /// pool that is running the pipeline itself.
-  ThreadPool* pool = nullptr;
   /// External cancellation flag, polled between stages, between rewrite
   /// iterations, and between SA moves.
   std::atomic<bool>* cancel = nullptr;

@@ -47,7 +47,8 @@ struct ServerConfig {
   std::string unix_socket_path;
   std::uint16_t tcp_port = 0;
   /// Worker threads running flows (each flow may itself use
-  /// params.sa.num_threads SA chains).
+  /// params.sa.num_threads SA chains and params.rewrite.match_threads match
+  /// threads).
   unsigned workers = 2;
   /// Admission queue bound; a full queue rejects with OVERLOADED.
   std::size_t queue_capacity = 16;

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "egraph/egraph.hpp"
 #include "egraph/hashcons.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
+#include "egraph/snapshot.hpp"
 #include "util/rng.hpp"
 
 namespace emorphic {
@@ -176,11 +180,12 @@ EGraph build_structured_egraph(unsigned vars, unsigned nodes,
   return eg;
 }
 
-RunnerReport saturate(EGraph& eg, bool use_index, unsigned threads) {
+RunnerReport saturate(EGraph& eg, bool use_index, unsigned threads,
+                      std::size_t cap = 500) {
   RunnerParams params;
   params.max_iterations = 3;
   params.max_enodes = 20000;
-  params.max_matches_per_rule = 500;  // caps bind, so prefixes must agree too
+  params.max_matches_per_rule = cap;  // caps bind, so prefixes must agree too
   params.use_rule_index = use_index;
   params.match_threads = threads;
   return run_rewriting(eg, make_logic_rules(), params);
@@ -218,16 +223,82 @@ TEST(EGraphCore, IndexedMatchingEqualsFullScan) {
 
 // --- deterministic parallel matching ----------------------------------------
 
+/// Candidate classes per match chunk in the runner (runner.cpp).
+constexpr std::size_t kChunkClasses = 64;
+
+/// The chunk of `rule`'s candidate list in which the first iteration's
+/// per-rule cap binds, or nullopt when the rule stays under the cap.
+std::optional<std::size_t> cap_binding_chunk(const EGraph& eg,
+                                             const Rewrite& rule,
+                                             std::size_t cap) {
+  std::vector<EClassId> ids = eg.class_ids();
+  OpPresence presence;
+  presence.build(eg, ids);
+  std::optional<Op> op = rule.lhs.root_op();
+  std::size_t found = 0;
+  std::size_t position = 0;
+  std::vector<Subst> substs;
+  for (EClassId id : ids) {
+    if (op.has_value() && presence.count(id, *op) == 0) continue;
+    substs.clear();
+    match_in_class(eg, rule.lhs, id, substs, cap - found, &presence);
+    found += substs.size();
+    if (found >= cap) return position / kChunkClasses;
+    ++position;
+  }
+  return std::nullopt;
+}
+
+/// Saturates one workload at every thread count and expects the same report
+/// and the same snapshot bytes as the single-threaded run.
+void expect_same_at_every_thread_count(unsigned vars, unsigned nodes,
+                                       std::uint64_t seed, std::size_t cap) {
+  EGraph reference = build_structured_egraph(vars, nodes, seed);
+  RunnerReport expected = saturate(reference, /*use_index=*/true, 1, cap);
+  std::string bytes = egraph_to_snapshot(reference);
+  for (unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << ", cap " << cap
+                                      << ", " << threads << " threads");
+    EGraph eg = build_structured_egraph(vars, nodes, seed);
+    RunnerReport report = saturate(eg, /*use_index=*/true, threads, cap);
+    expect_identical_runs(expected, reference, report, eg);
+    EXPECT_EQ(egraph_to_snapshot(eg), bytes);
+    std::string why;
+    EXPECT_TRUE(eg.check_invariants(&why)) << why;
+  }
+}
+
 TEST(EGraphCore, ParallelMatchingIsDeterministic) {
   for (std::uint64_t seed : {5u, 23u}) {
-    EGraph serial = build_structured_egraph(12, 150, seed);
-    EGraph threaded = build_structured_egraph(12, 150, seed);
-    RunnerReport rs = saturate(serial, /*use_index=*/true, 1);
-    RunnerReport rt = saturate(threaded, /*use_index=*/true, 4);
-    expect_identical_runs(rs, serial, rt, threaded);
-    std::string why;
-    EXPECT_TRUE(threaded.check_invariants(&why)) << why;
+    expect_same_at_every_thread_count(12, 150, seed, 500);
   }
+}
+
+TEST(EGraphCore, ParallelMatchingKeepsTheCapPrefixPastTheFirstChunk) {
+  // Some rule reaches its cap only after its first chunk, so the result
+  // depends on which later chunks were matched and cut off.
+  constexpr unsigned kVars = 16;
+  constexpr unsigned kNodes = 900;
+  constexpr std::uint64_t kSeed = 11;
+  constexpr std::size_t kCap = 60;
+  EGraph probe = build_structured_egraph(kVars, kNodes, kSeed);
+  bool binds_late = false;
+  for (const Rewrite& rule : make_logic_rules()) {
+    std::optional<std::size_t> chunk = cap_binding_chunk(probe, rule, kCap);
+    binds_late = binds_late || (chunk.has_value() && *chunk >= 1);
+  }
+  ASSERT_TRUE(binds_late);
+  expect_same_at_every_thread_count(kVars, kNodes, kSeed, kCap);
+}
+
+TEST(EGraphCore, ParallelMatchingWithFewerCandidatesThanAChunk) {
+  constexpr unsigned kVars = 4;
+  constexpr unsigned kNodes = 24;
+  constexpr std::uint64_t kSeed = 7;
+  EGraph probe = build_structured_egraph(kVars, kNodes, kSeed);
+  ASSERT_LT(probe.class_ids().size(), kChunkClasses);
+  expect_same_at_every_thread_count(kVars, kNodes, kSeed, 500);
+  expect_same_at_every_thread_count(kVars, kNodes, kSeed, 1);
 }
 
 TEST(EGraphCore, ParallelMatchingRepeatsBitIdentically) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "../test_helpers.hpp"
 #include "egraph/rules.hpp"
+#include "egraph/snapshot.hpp"
 #include "extract/extractor.hpp"
 #include "flow/conversion.hpp"
 
@@ -55,6 +58,46 @@ TEST(Runner, NodeLimitStops) {
   limits.max_iterations = 50;
   limits.max_enodes = 500;
   RunnerReport report = run_rewriting(ce.egraph, make_logic_rules(), limits);
+  EXPECT_EQ(report.stop_reason, StopReason::kNodeLimit);
+}
+
+TEST(Runner, StopsBeforeSearchingWhenAlreadyOverBudget) {
+  Rng rng(35);
+  Aig aig = testing::random_aig(6, 3, 60, rng);
+  CircuitEGraph ce = aig_to_egraph(aig);
+  std::string before = egraph_to_snapshot(ce.egraph);
+  RunnerParams limits;
+  limits.max_iterations = 5;
+  limits.max_enodes = ce.egraph.num_classes_created() - 1;
+  RunnerHooks hooks;
+  std::size_t calls = 0;
+  hooks.on_iteration = [&](const IterationStats&) {
+    ++calls;
+    return true;
+  };
+  RunnerReport report =
+      run_rewriting(ce.egraph, make_logic_rules(), limits, hooks);
+  EXPECT_EQ(report.stop_reason, StopReason::kNodeLimit);
+  EXPECT_TRUE(report.iterations.empty());
+  EXPECT_EQ(calls, 0u);
+  for (std::size_t m : report.rule_matches) EXPECT_EQ(m, 0u);
+  EXPECT_EQ(egraph_to_snapshot(ce.egraph), before);
+}
+
+TEST(Runner, ApplyPhaseOverBudgetReportsNodeLimit) {
+  // The apply phase stops once the e-graph has created more classes than
+  // max_enodes, while congruence keeps the e-node count under it: the run
+  // is over budget and must say so rather than look saturated.
+  Rng rng(36);
+  Aig aig = testing::random_aig(6, 3, 60, rng);
+  CircuitEGraph ce = aig_to_egraph(aig);
+  RunnerParams limits;
+  limits.max_iterations = 10;
+  limits.max_enodes = ce.egraph.num_classes_created() + 1000;
+  RunnerReport report = run_rewriting(ce.egraph, make_logic_rules(), limits);
+  ASSERT_FALSE(report.iterations.empty());
+  ASSERT_GT(ce.egraph.num_classes_created(), limits.max_enodes);
+  ASSERT_LT(report.iterations.back().enodes_after, limits.max_enodes);
   EXPECT_EQ(report.stop_reason, StopReason::kNodeLimit);
 }
 

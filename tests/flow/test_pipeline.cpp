@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "../test_helpers.hpp"
+#include "aig/signature.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
 #include "flow/batch.hpp"
@@ -357,6 +358,34 @@ TEST(Pipeline, EmorphicIsEquivalentAndComplete) {
   EXPECT_GT(buckets.sa, 0.0);
   // Rewriting must have multiplied the e-graph.
   EXPECT_GT(result.egraph_enodes, result.initial_enodes);
+}
+
+TEST(Pipeline, EmorphicResultDoesNotDependOnMatchThreads) {
+  // Paper rewrite settings under a 30k e-node budget that adder8 reaches,
+  // at the default match_threads and at one match thread.
+  Aig adder = make_adder(8);
+  FlowParams threaded;
+  threaded.rounds = 4;
+  threaded.rewrite.max_iterations = 5;
+  threaded.rewrite.max_enodes = 30000;
+  threaded.rewrite.max_matches_per_rule = 4000;
+  threaded.rewrite.time_limit_s = 1e9;  // determinism needs limit-free runs
+  threaded.sa.iterations = 2;
+  threaded.sa.moves_per_iteration = 2;
+  threaded.verify = false;
+  FlowParams serial = threaded;
+  serial.rewrite.match_threads = 1;
+  ASSERT_NE(threaded.rewrite.match_threads, serial.rewrite.match_threads);
+  FlowResult a = Pipeline::emorphic(threaded).run(adder, threaded);
+  FlowResult b = Pipeline::emorphic(serial).run(adder, serial);
+  EXPECT_EQ(a.qor.area, b.qor.area);
+  EXPECT_EQ(a.qor.delay, b.qor.delay);
+  EXPECT_EQ(a.qor.lev, b.qor.lev);
+  EXPECT_EQ(structural_signature(a.final_aig),
+            structural_signature(b.final_aig));
+  EXPECT_EQ(a.rewrite_report.stop_reason, StopReason::kNodeLimit);
+  EXPECT_EQ(a.rewrite_report.rule_matches, b.rewrite_report.rule_matches);
+  EXPECT_EQ(a.egraph_enodes, b.egraph_enodes);
 }
 
 /// Pipeline::emorphic over default params with the given flags set.

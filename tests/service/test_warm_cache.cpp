@@ -218,8 +218,10 @@ TEST(WarmCache, WarmReRunsStayIdentical) {
 TEST(WarmCache, WorkerContextReuseIsFlatAndDeterministic) {
   Aig input = make_adder(6);
   FlowParams params = quick_params();
-  params.sa.num_threads = 1;  // single-threaded: allocation counts are
-                              // deterministic, so "flat" can be exact
+  // Single-threaded SA and matching: allocation counts are deterministic,
+  // so "flat" can be exact.
+  params.sa.num_threads = 1;
+  params.rewrite.match_threads = 1;
   Pipeline pipeline = Pipeline::emorphic(params);
 
   WarmCache cache;
