@@ -5,9 +5,10 @@
 //   * the stitched circuit is equivalent to its input on every rung —
 //     every adopted window is already SAT-proven by construction, the
 //     stitched whole must agree with the input under random simulation,
-//     and at the smallest rung a monolithic SAT miter must prove it
-//     outright (one shared conflict budget, so the monolithic proof only
-//     stays tractable there — exactly the wall this mode exists to avoid),
+//     and at the smallest rung `cec` must prove it outright by sweeping
+//     the whole miter (one shared conflict budget, so the whole-circuit
+//     proof stays within CI time only there — the wall this mode exists
+//     to avoid),
 //   * the partitioned flow completes the >= 10^6-AND circuit and improves
 //     it, while whole-circuit saturation under the same e-node budget (the
 //     paper's memory cap) halts at the node limit with no AND reduction,
@@ -88,13 +89,14 @@ bool run_scaling(const char* json_path) {
     bool reduced = completed && r.stats.ands_after < r.stats.ands_before;
     // Every adopted window passed its own SAT gate inside partition_optimize;
     // the stitched whole must additionally agree under random simulation at
-    // every rung, and at the smallest rung a monolithic SAT miter must prove
-    // it outright (one shared conflict budget across the whole miter, so the
-    // proof only stays tractable there — which is the point of this mode).
+    // every rung, and at the smallest rung `cec` must prove it outright by
+    // sweeping the whole miter (one shared conflict budget across the
+    // ladder, so the whole-circuit proof stays within CI time only there —
+    // which is the point of this mode).
     bool equivalent = completed && sim_equal(aig, r.optimized);
     const char* cec_mode = "window-sat+simulation";
     if (completed && target <= 20000) {
-      cec_mode = "window-sat+monolithic-sat";
+      cec_mode = "window-sat+swept-miter";
       CecParams cp;
       cp.time_limit_s = 0.0;  // conflict-bounded only
       equivalent =

@@ -4,6 +4,8 @@
 // area/delay trade-offs, showing both extension points end to end.
 //
 //   $ ./build/examples/custom_rules_and_cells
+//
+// Exits 1 unless cec proves every printed result equivalent to its input.
 
 #include <cstdio>
 
@@ -90,5 +92,5 @@ GATE lp_aoi21 0.25 Y=!((A*B)+C);    PIN * 21
 
   std::printf("\ncec(original, result): %s\n",
               cec_status_name(result.verify_status));
-  return 0;
+  return result.verify_status == CecStatus::kEquivalent ? 0 : 1;
 }

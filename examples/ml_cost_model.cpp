@@ -4,6 +4,8 @@
 // predictions instead of exact mapping — and compare the two modes.
 //
 //   $ ./build/examples/ml_cost_model
+//
+// Exits 1 unless cec proves every printed result equivalent to its input.
 
 #include <cstdio>
 
@@ -74,8 +76,11 @@ int main() {
   std::printf("\nruntime saving from the ML model: %.1f%% (paper: ~28%%)\n",
               100.0 * (1.0 - ml_s / exact_s));
 
+  const CecStatus exact_verdict = cec(circuit, exact.final_aig).status;
+  const CecStatus ml_verdict = cec(circuit, ml.final_aig).status;
   std::printf("\nverification: exact-mode %s, ML-mode %s\n",
-              cec_status_name(cec(circuit, exact.final_aig).status),
-              cec_status_name(cec(circuit, ml.final_aig).status));
-  return 0;
+              cec_status_name(exact_verdict), cec_status_name(ml_verdict));
+  const bool verified = exact_verdict == CecStatus::kEquivalent &&
+                        ml_verdict == CecStatus::kEquivalent;
+  return verified ? 0 : 1;
 }

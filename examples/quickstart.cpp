@@ -3,6 +3,8 @@
 // the five-minute tour of the public API.
 //
 //   $ ./build/examples/quickstart
+//
+// Exits 1 unless cec proves every printed result equivalent to its input.
 
 #include <cstdio>
 
@@ -75,5 +77,5 @@ int main() {
     std::printf("\nfirst lines of the mapped BLIF:\n%s...\n",
                 blif.substr(0, 200).c_str());
   }
-  return 0;
+  return result.verify_status == CecStatus::kEquivalent ? 0 : 1;
 }

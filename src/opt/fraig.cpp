@@ -1,15 +1,16 @@
 #include "opt/fraig.hpp"
 
-#include <cassert>
-#include <optional>
+#include <algorithm>
+#include <bit>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "aig/sim.hpp"
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
-#include "util/rng.hpp"
+#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace emorphic {
 
@@ -18,11 +19,6 @@ namespace {
 using sat::SatResult;
 using sat::Solver;
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
-  h ^= x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
-
 /// Candidate-equivalence classes over all AIG variables (constant and PIs
 /// included — they are valid merge representatives, only AND nodes merge
 /// away). Signatures are complement-normalized: `phase[v]` is the node's
@@ -30,7 +26,6 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
 /// is XORed with that phase before comparison, so a node and its negation
 /// share a class with opposite phases.
 struct Partition {
-  std::vector<std::int32_t> class_of;     // -1 = singleton / merged away
   std::vector<bool> phase;                // complement normalization per var
   std::vector<std::vector<Var>> classes;  // members ascending by var
 };
@@ -54,7 +49,6 @@ Partition initial_partition(const Aig& aig,
                             unsigned w) {
   const std::size_t n = aig.num_nodes();
   Partition part;
-  part.class_of.assign(n, -1);
   part.phase.assign(n, false);
   // Hash buckets resolve to exact class ids by exemplar comparison.
   std::unordered_map<std::uint64_t, std::vector<std::int32_t>> buckets;
@@ -65,7 +59,7 @@ Partition initial_partition(const Aig& aig,
     part.phase[v] = ph;
     std::uint64_t mask = ph ? ~0ull : 0ull;
     std::uint64_t h = 0;
-    for (unsigned i = 0; i < w; ++i) h = mix(h, row[i] ^ mask);
+    for (unsigned i = 0; i < w; ++i) h = hash_fold(h, row[i] ^ mask);
     std::vector<std::int32_t>& ids = buckets[h];
     std::int32_t found = -1;
     for (std::int32_t id : ids) {
@@ -80,13 +74,9 @@ Partition initial_partition(const Aig& aig,
       ids.push_back(found);
     }
     part.classes[found].push_back(v);
-    part.class_of[v] = found;
   }
   for (std::vector<Var>& members : part.classes) {
-    if (members.size() < 2) {
-      for (Var v : members) part.class_of[v] = -1;
-      members.clear();
-    }
+    if (members.size() < 2) members.clear();
   }
   return part;
 }
@@ -124,18 +114,9 @@ std::size_t refine_classes(Partition& part,
     if (groups.size() == 1) continue;
     ++splits;
     members = std::move(groups[0]);
-    if (members.size() < 2) {
-      for (Var v : members) part.class_of[v] = -1;
-      members.clear();
-    }
+    if (members.size() < 2) members.clear();
     for (std::size_t g = 1; g < groups.size(); ++g) {
-      if (groups[g].size() < 2) {
-        for (Var v : groups[g]) part.class_of[v] = -1;
-        continue;
-      }
-      std::int32_t id = static_cast<std::int32_t>(part.classes.size());
-      for (Var v : groups[g]) part.class_of[v] = id;
-      part.classes.push_back(std::move(groups[g]));
+      if (groups[g].size() >= 2) part.classes.push_back(std::move(groups[g]));
     }
   }
   return splits;
@@ -145,34 +126,56 @@ enum class PairVerdict { kProved, kRefuted, kUndecided };
 
 /// Prove or refute `la == lb` on the encoded network with two
 /// assumption-only queries: (la & !lb) and (!la & lb) must both be UNSAT.
-/// On refutation, `cex` receives the distinguishing PI assignment.
+/// Each query may spend `conflict_limit` conflicts and `time_limit_s`
+/// seconds (0 = unbounded). On refutation, `cex` receives the
+/// distinguishing PI assignment.
 PairVerdict prove_pair(Solver& solver, const std::vector<sat::SatVar>& smap,
                        const Aig& aig, Lit la, Lit lb,
-                       const FraigParams& params, std::vector<bool>& cex,
-                       FraigStats& stats) {
-  sat::SatLit sa = sat::lit_to_sat(smap, la);
-  sat::SatLit sb = sat::lit_to_sat(smap, lb);
-  auto extract_cex = [&] {
-    cex.resize(aig.num_pis());
-    for (std::uint32_t i = 0; i < aig.num_pis(); ++i) {
-      cex[i] = solver.model_value(smap[aig.pis()[i]]);
+                       std::uint64_t conflict_limit, double time_limit_s,
+                       std::vector<bool>& cex, FraigStats& stats) {
+  const sat::SatLit sa = sat::lit_to_sat(smap, la);
+  const sat::SatLit sb = sat::lit_to_sat(smap, lb);
+  const std::vector<sat::SatLit> queries[2] = {{sa, sat::sat_neg(sb)},
+                                               {sat::sat_neg(sa), sb}};
+  for (const std::vector<sat::SatLit>& assumptions : queries) {
+    ++stats.sat_calls;
+    const std::uint64_t before = solver.stats().conflicts;
+    SatResult r = solver.solve(assumptions, conflict_limit, time_limit_s);
+    stats.sat_conflicts += solver.stats().conflicts - before;
+    if (r == SatResult::kUndecided) return PairVerdict::kUndecided;
+    if (r == SatResult::kSat) {
+      cex.resize(aig.num_pis());
+      for (std::uint32_t i = 0; i < aig.num_pis(); ++i) {
+        cex[i] = solver.model_value(smap[aig.pis()[i]]);
+      }
+      return PairVerdict::kRefuted;
     }
-  };
-  ++stats.sat_calls;
-  SatResult r = solver.solve({sa, sat::sat_neg(sb)}, params.conflict_limit);
-  if (r == SatResult::kUndecided) return PairVerdict::kUndecided;
-  if (r == SatResult::kSat) {
-    extract_cex();
-    return PairVerdict::kRefuted;
-  }
-  ++stats.sat_calls;
-  r = solver.solve({sat::sat_neg(sa), sb}, params.conflict_limit);
-  if (r == SatResult::kUndecided) return PairVerdict::kUndecided;
-  if (r == SatResult::kSat) {
-    extract_cex();
-    return PairVerdict::kRefuted;
   }
   return PairVerdict::kProved;
+}
+
+/// The first input pattern (in PO, word, bit order) under which some PO is 1
+/// in `values` (node-major, `w` words per node), or empty when none is.
+std::vector<bool> po_one_pattern(const Aig& aig,
+                                 const std::vector<std::uint64_t>& values,
+                                 unsigned w) {
+  for (Lit po : aig.pos()) {
+    const std::uint64_t mask = lit_is_compl(po) ? ~0ull : 0ull;
+    for (unsigned i = 0; i < w; ++i) {
+      const std::uint64_t word =
+          values[static_cast<std::size_t>(lit_var(po)) * w + i] ^ mask;
+      if (word == 0) continue;
+      const int bit = std::countr_zero(word);
+      std::vector<bool> pattern(aig.num_pis());
+      for (std::uint32_t k = 0; k < aig.num_pis(); ++k) {
+        const std::uint64_t pi =
+            values[static_cast<std::size_t>(aig.pis()[k]) * w + i];
+        pattern[k] = ((pi >> bit) & 1ull) != 0;
+      }
+      return pattern;
+    }
+  }
+  return {};
 }
 
 std::vector<Lit> identity_replacement(const Aig& aig) {
@@ -181,85 +184,8 @@ std::vector<Lit> identity_replacement(const Aig& aig) {
   return replacement;
 }
 
-Aig sweep_guided(const Aig& aig, const FraigParams& params, FraigStats& stats) {
-  Rng rng(params.seed);
-  std::optional<ThreadPool> pool;
-  if (params.num_threads > 1) pool.emplace(params.num_threads);
-  ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
-
-  const unsigned w = std::max(1u, params.sim_words);
-  auto random_values = [&] {
-    std::vector<std::uint64_t> pi_words(
-        static_cast<std::size_t>(aig.num_pis()) * w);
-    for (std::uint64_t& word : pi_words) word = rng.next();
-    stats.sim_words += w;
-    return simulate_words_multi(aig, pi_words, w, pool_ptr);
-  };
-
-  Partition part = initial_partition(aig, random_values(), w);
-  for (unsigned round = 0; round < params.sim_rounds; ++round) {
-    if (refine_classes(part, random_values(), w, 0) == 0) break;
-  }
-  for (const std::vector<Var>& members : part.classes) {
-    if (members.size() < 2) continue;
-    ++stats.classes;
-    stats.candidate_nodes += members.size();
-  }
-
-  Solver solver;
-  std::vector<sat::SatVar> smap = sat::encode_aig(solver, aig);
-  std::vector<Lit> replacement = identity_replacement(aig);
-  std::vector<bool> cex;
-
-  for (std::size_t c = 0; c < part.classes.size(); ++c) {
-    if (part.classes[c].size() < 2) continue;
-    if (part.classes[c].size() > params.max_class_size) {
-      stats.skipped_class_nodes += part.classes[c].size();
-      continue;
-    }
-    // Pairs abandoned at the conflict limit: remembered so a replay reset
-    // does not re-spend their budget.
-    std::unordered_set<Var> undecided;
-    std::size_t i = 1;
-    while (i < part.classes[c].size()) {
-      Var rep = part.classes[c][0];
-      Var m = part.classes[c][i];
-      if (!aig.is_and(m) || undecided.count(m) != 0) {
-        ++i;
-        continue;
-      }
-      bool relphase = part.phase[m] != part.phase[rep];
-      PairVerdict verdict =
-          prove_pair(solver, smap, aig, make_lit(rep), make_lit(m, relphase),
-                     params, cex, stats);
-      if (verdict == PairVerdict::kProved) {
-        ++stats.proved;
-        replacement[m] = make_lit(rep, relphase);
-        part.class_of[m] = -1;
-        part.classes[c].erase(part.classes[c].begin() +
-                              static_cast<std::ptrdiff_t>(i));
-      } else if (verdict == PairVerdict::kUndecided) {
-        ++stats.undecided;
-        undecided.insert(m);
-        ++i;
-      } else {
-        // Replay the counterexample (bit 0 exact, bits 1..63 neighbors):
-        // it provably evicts `m` from this class, and splits any other
-        // not-yet-processed class it distinguishes.
-        ++stats.refuted;
-        ++stats.cex_replays;
-        ++stats.sim_words;
-        std::vector<std::uint64_t> word = expand_pattern(cex, rng);
-        std::vector<std::uint64_t> values = simulate_words(aig, word);
-        refine_classes(part, values, 1, c);
-        i = 1;  // membership changed; `undecided` guards against re-queries
-      }
-    }
-  }
-  return aig.substitute(replacement);
-}
-
-Aig sweep_naive(const Aig& aig, const FraigParams& params, FraigStats& stats) {
+std::vector<Lit> sweep_naive(const Aig& aig, const FraigParams& params,
+                             FraigStats& stats) {
   Solver solver;
   std::vector<sat::SatVar> smap = sat::encode_aig(solver, aig);
   std::vector<Lit> replacement = identity_replacement(aig);
@@ -270,9 +196,10 @@ Aig sweep_naive(const Aig& aig, const FraigParams& params, FraigStats& stats) {
       if (replacement[r] != make_lit(r)) continue;  // merged away already
       for (int phase = 0; phase < 2 && replacement[m] == make_lit(m);
            ++phase) {
-        PairVerdict verdict =
-            prove_pair(solver, smap, aig, make_lit(r),
-                       make_lit(m, phase != 0), params, cex, stats);
+        PairVerdict verdict = prove_pair(solver, smap, aig, make_lit(r),
+                                         make_lit(m, phase != 0),
+                                         params.conflict_limit, 0.0, cex,
+                                         stats);
         if (verdict == PairVerdict::kProved) {
           ++stats.proved;
           replacement[m] = make_lit(r, phase != 0);
@@ -284,18 +211,141 @@ Aig sweep_naive(const Aig& aig, const FraigParams& params, FraigStats& stats) {
       }
     }
   }
-  return aig.substitute(replacement);
+  return replacement;
 }
 
 }  // namespace
+
+SatSweep::SatSweep(const Aig& aig, const FraigParams& params,
+                   FraigStats& stats)
+    : aig_(aig), params_(params), stats_(stats), rng_(params.seed) {
+  if (params.num_threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(params.num_threads);
+  }
+  initial_ = random_values();
+  witness_ = po_one_pattern(aig_, initial_, words());
+}
+
+SatSweep::~SatSweep() = default;
+
+unsigned SatSweep::words() const { return std::max(1u, params_.sim_words); }
+
+std::vector<std::uint64_t> SatSweep::random_values() {
+  const unsigned w = words();
+  std::vector<std::uint64_t> pi_words(static_cast<std::size_t>(aig_.num_pis()) *
+                                      w);
+  for (std::uint64_t& word : pi_words) word = rng_.next();
+  stats_.sim_words += w;
+  return simulate_words_multi(aig_, pi_words, w, pool_.get());
+}
+
+std::vector<Lit> SatSweep::sweep(std::uint64_t conflict_budget,
+                                 double time_limit_s, bool miter) {
+  Timer timer;
+  const unsigned w = words();
+  Partition part = initial_partition(aig_, initial_, w);
+  for (unsigned round = 0; round < params_.sim_rounds; ++round) {
+    if (refine_classes(part, random_values(), w, 0) == 0) break;
+  }
+  if (miter) {
+    std::vector<std::uint8_t> kept(aig_.num_nodes(), 0);
+    for (Lit po : aig_.pos()) kept[lit_var(po)] = aig_.is_and(lit_var(po));
+    for (std::vector<Var>& members : part.classes) {
+      std::erase_if(members, [&kept](Var v) { return kept[v] != 0; });
+      if (members.size() < 2) members.clear();
+    }
+  }
+  for (const std::vector<Var>& members : part.classes) {
+    if (members.size() < 2) continue;
+    ++stats_.classes;
+    stats_.candidate_nodes += members.size();
+  }
+
+  Solver solver;
+  std::vector<sat::SatVar> smap = sat::encode_aig(solver, aig_);
+  std::vector<Lit> replacement = identity_replacement(aig_);
+  std::vector<bool> cex;
+  const std::uint64_t spent_before = stats_.sat_conflicts;
+  // The next query's conflict limit and time limit (0 = unbounded), or
+  // false once the budget is spent.
+  std::uint64_t query_conflicts = params_.conflict_limit;
+  double query_seconds = 0.0;
+  auto budget_left = [&] {
+    if (conflict_budget > 0) {
+      const std::uint64_t spent = stats_.sat_conflicts - spent_before;
+      if (spent >= conflict_budget) return false;
+      const std::uint64_t left = conflict_budget - spent;
+      query_conflicts = params_.conflict_limit == 0
+                            ? left
+                            : std::min(params_.conflict_limit, left);
+    }
+    if (time_limit_s > 0.0) {
+      query_seconds = time_limit_s - timer.seconds();
+      if (query_seconds <= 0.0) return false;
+    }
+    return true;
+  };
+
+  for (std::size_t c = 0; c < part.classes.size(); ++c) {
+    if (part.classes[c].size() < 2) continue;
+    if (part.classes[c].size() > params_.max_class_size) {
+      stats_.skipped_class_nodes += part.classes[c].size();
+      continue;
+    }
+    // Pairs abandoned at the conflict limit: remembered so a replay reset
+    // does not re-spend their budget.
+    std::unordered_set<Var> undecided;
+    std::size_t i = 1;
+    while (i < part.classes[c].size()) {
+      Var rep = part.classes[c][0];
+      Var m = part.classes[c][i];
+      if (!aig_.is_and(m) || undecided.count(m) != 0) {
+        ++i;
+        continue;
+      }
+      if (!budget_left()) return replacement;
+      bool relphase = part.phase[m] != part.phase[rep];
+      PairVerdict verdict = prove_pair(solver, smap, aig_, make_lit(rep),
+                                       make_lit(m, relphase), query_conflicts,
+                                       query_seconds, cex, stats_);
+      if (verdict == PairVerdict::kProved) {
+        ++stats_.proved;
+        replacement[m] = make_lit(rep, relphase);
+        part.classes[c].erase(part.classes[c].begin() +
+                              static_cast<std::ptrdiff_t>(i));
+      } else if (verdict == PairVerdict::kUndecided) {
+        ++stats_.undecided;
+        undecided.insert(m);
+        ++i;
+      } else {
+        // Replay the counterexample (bit 0 exact, bits 1..63 neighbors):
+        // it provably evicts `m` from this class, and splits any other
+        // not-yet-processed class it distinguishes.
+        ++stats_.refuted;
+        ++stats_.cex_replays;
+        ++stats_.sim_words;
+        std::vector<std::uint64_t> word = expand_pattern(cex, rng_);
+        std::vector<std::uint64_t> values = simulate_words(aig_, word);
+        if (miter) {
+          witness_ = po_one_pattern(aig_, values, 1);
+          if (!witness_.empty()) return replacement;
+        }
+        refine_classes(part, values, 1, c);
+        i = 1;  // membership changed; `undecided` guards against re-queries
+      }
+    }
+  }
+  return replacement;
+}
 
 Aig fraig(const Aig& aig, const FraigParams& params, FraigStats* stats) {
   FraigStats local;
   FraigStats& s = stats != nullptr ? *stats : local;
   s = FraigStats{};
   s.ands_before = aig.num_ands();
-  Aig out = params.use_simulation ? sweep_guided(aig, params, s)
-                                  : sweep_naive(aig, params, s);
+  Aig out = aig.substitute(params.use_simulation
+                               ? SatSweep(aig, params, s).sweep()
+                               : sweep_naive(aig, params, s));
   s.ands_after = out.num_ands();
   return out;
 }

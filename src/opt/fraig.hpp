@@ -20,14 +20,16 @@
 //
 // This is both an optimization (AND-node count drops wherever redundancy
 // exists) and the machinery behind trustworthy equivalence testing: the
-// same simulate/refute/prove loop backs `cec` and the stage-equivalence
-// test harness.
+// same simulate/refute/prove engine (SatSweep below) backs `cec`, which
+// sweeps the miter of the two circuits before its final proof.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "aig/aig.hpp"
+#include "util/rng.hpp"
 
 namespace emorphic {
 
@@ -69,8 +71,50 @@ struct FraigStats {
   std::size_t undecided = 0;        // pairs abandoned at the conflict limit
   std::size_t cex_replays = 0;      // counterexample words simulated back
   std::size_t sim_words = 0;        // total 64-pattern words simulated
+  std::uint64_t sat_conflicts = 0;  // solver conflicts over all queries
   std::uint32_t ands_before = 0;
   std::uint32_t ands_after = 0;
+};
+
+class ThreadPool;
+
+/// The guided sweep behind both fraig() and cec(). Construction runs the
+/// initial random simulation of step 1; sweep() runs the refinement rounds
+/// and steps 2-3 and returns the merge map that step 4 hands to
+/// Aig::substitute. Per-query limits come from FraigParams::conflict_limit;
+/// cec() adds a total budget, so a sweep that meets hard pairs moves on and
+/// leaves them unmerged. Single-use: construct, then sweep() once.
+class SatSweep {
+ public:
+  SatSweep(const Aig& aig, const FraigParams& params, FraigStats& stats);
+  ~SatSweep();
+
+  /// An input assignment under which some PO is 1, or empty: from the
+  /// initial simulation, or from a counterexample sweep() replayed on a
+  /// miter. On a miter this is a counterexample to its equivalence.
+  const std::vector<bool>& po_witness() const { return witness_; }
+
+  /// Sweep once and return, per variable, its replacement literal.
+  /// Queries stop once `conflict_budget` conflicts (0 = unbounded) or
+  /// `time_limit_s` seconds (0 = unbounded) are spent; pairs left unproven
+  /// stay unmerged. With `miter`, the network is a miter: PO drivers are
+  /// never merged, because the caller proves them last on the reduced
+  /// network, and the sweep stops at the first replayed counterexample
+  /// that sets a PO to 1 (po_witness()).
+  std::vector<Lit> sweep(std::uint64_t conflict_budget = 0,
+                         double time_limit_s = 0.0, bool miter = false);
+
+ private:
+  const Aig& aig_;
+  FraigParams params_;
+  FraigStats& stats_;
+  Rng rng_;
+  std::unique_ptr<ThreadPool> pool_;
+  std::vector<std::uint64_t> initial_;  // node-major, words() per node
+  std::vector<bool> witness_;
+
+  unsigned words() const;
+  std::vector<std::uint64_t> random_values();
 };
 
 /// SAT-sweep `aig`: returns a functionally equivalent network in which every

@@ -25,7 +25,10 @@ namespace {
 constexpr std::size_t kChunkWindows = 16;
 
 constexpr char kCheckpointMagic[4] = {'E', 'M', 'P', 'C'};
-constexpr std::uint64_t kCheckpointVersion = 2;
+/// Version 3: window adoption verdicts come from the sweeping cec(), so a
+/// version-2 file's verdicts (one monolithic SAT call) would make a resumed
+/// run differ from an uninterrupted one.
+constexpr std::uint64_t kCheckpointVersion = 3;
 
 // Window result status codes stored in checkpoint records.
 constexpr std::uint8_t kRejectedQor = 0;

@@ -5,11 +5,56 @@
 #include "../test_helpers.hpp"
 #include "aig/sim.hpp"
 #include "benchgen/arith.hpp"
+#include "benchgen/doubling.hpp"
 #include "opt/balance.hpp"
+#include "opt/fraig.hpp"
 #include "opt/resyn.hpp"
 
 namespace emorphic {
 namespace {
+
+/// `aig` rebuilt with the output of AND node `target` XORed with `flip`: a
+/// constant 1 flips the gate on every input, the AND of the first `rare`
+/// PIs only where all of them are 1.
+Aig flip_gate(const Aig& aig, Var target, unsigned rare) {
+  Aig out = Aig::like(aig);
+  std::vector<Lit> map(aig.num_nodes(), kLitFalse);
+  std::vector<Lit> rare_pis;
+  for (std::uint32_t i = 0; i < aig.num_pis(); ++i) {
+    map[aig.pis()[i]] = make_lit(out.pis()[i]);
+    if (i < rare) rare_pis.push_back(make_lit(out.pis()[i]));
+  }
+  const Lit flip = out.make_and_n(rare_pis);  // kLitTrue when rare == 0
+  auto translate = [&map](Lit l) {
+    return lit_notcond(map[lit_var(l)], lit_is_compl(l));
+  };
+  for (Var v = 1; v < aig.num_nodes(); ++v) {
+    if (!aig.is_and(v)) continue;
+    map[v] = out.make_and(translate(aig.fanin0(v)), translate(aig.fanin1(v)));
+    if (v == target) map[v] = out.make_xor(map[v], flip);
+  }
+  for (std::uint32_t i = 0; i < aig.num_pos(); ++i) {
+    out.set_po(i, translate(aig.po(i)));
+  }
+  return out;
+}
+
+/// True when simulating `a` and `b` on `pattern` sets some PO apart.
+bool pattern_distinguishes(const Aig& a, const Aig& b,
+                           const std::vector<bool>& pattern) {
+  std::vector<std::uint64_t> words(pattern.size());
+  for (std::size_t k = 0; k < pattern.size(); ++k) {
+    words[k] = pattern[k] ? ~0ull : 0ull;
+  }
+  const std::vector<std::uint64_t> va = simulate_words(a, words);
+  const std::vector<std::uint64_t> vb = simulate_words(b, words);
+  for (std::uint32_t i = 0; i < a.num_pos(); ++i) {
+    const bool oa = ((va[lit_var(a.po(i))] & 1) != 0) != lit_is_compl(a.po(i));
+    const bool ob = ((vb[lit_var(b.po(i))] & 1) != 0) != lit_is_compl(b.po(i));
+    if (oa != ob) return true;
+  }
+  return false;
+}
 
 TEST(Cec, IdenticalCircuits) {
   Rng rng(171);
@@ -102,6 +147,55 @@ TEST(Cec, ConflictLimitGivesUndecided) {
   params.conflict_limit = 1;  // give up almost immediately
   CecResult result = cec(m1, m2, params);
   EXPECT_NE(result.status, CecStatus::kNotEquivalent);
+}
+
+TEST(Cec, FlippedGateInALargeCircuitIsRefutedWithAConfirmedCounterexample) {
+  const Aig golden = make_divisor(14);
+  ASSERT_GE(golden.num_ands(), 2000u);
+  const Var mid = golden.num_nodes() / 2;
+  ASSERT_TRUE(golden.is_and(mid));
+  // rare = 0: the gate flips on every input, which simulation catches.
+  // rare = 16: it flips on one input in 2^16, and the flip shows at a PO
+  // on a few dozen of all 2^28 inputs (counted exhaustively), which only
+  // SAT finds.
+  for (unsigned rare : {0u, 16u}) {
+    SCOPED_TRACE(rare);
+    const Aig mutant = flip_gate(golden, mid, rare);
+    const CecResult result = cec(golden, mutant);
+    ASSERT_EQ(result.status, CecStatus::kNotEquivalent);
+    ASSERT_EQ(result.counterexample.size(), golden.num_pis());
+    EXPECT_TRUE(pattern_distinguishes(golden, mutant, result.counterexample));
+    if (rare > 0) EXPECT_GT(result.sat_conflicts, 0u);
+  }
+}
+
+TEST(Cec, ProvesAMultiplierMiterThatOneSatCallLeavesUndecided) {
+  // One SAT call on the whole miter stops undecided at 30k conflicts;
+  // sweeping the miter first merges the two multipliers' shared partial
+  // products and proves it in a few thousand.
+  const Aig m = make_multiplier(8);
+  CecParams params;
+  params.conflict_limit = 30000;
+  params.time_limit_s = 0.0;
+  const CecResult result = cec(m, resyn(m), params);
+  EXPECT_EQ(result.status, CecStatus::kEquivalent);
+  EXPECT_LE(result.sat_conflicts, params.conflict_limit);
+}
+
+TEST(Cec, VerdictAndConflictCountAreDeterministicAndCoverTheSweep) {
+  // A doubled multiplier against its SAT sweep: too hard for the short
+  // monolithic attempt, so the sweep proves the outputs.
+  const Aig aig = doubled(make_multiplier(6));
+  const Aig swept = fraig(aig);
+  CecParams params;
+  params.time_limit_s = 0.0;  // conflict-bounded only: deterministic
+  const CecResult first = cec(aig, swept, params);
+  const CecResult second = cec(aig, swept, params);
+  EXPECT_EQ(first.status, CecStatus::kEquivalent);
+  EXPECT_EQ(second.status, first.status);
+  EXPECT_EQ(second.sat_conflicts, first.sat_conflicts);
+  // More than the short attempt may spend: the sweep's conflicts count.
+  EXPECT_GT(first.sat_conflicts, kCecQuickConflicts);
 }
 
 TEST(Cec, StatusNames) {

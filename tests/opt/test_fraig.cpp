@@ -135,6 +135,19 @@ TEST(Fraig, ConflictLimitLeavesPairsUndecidedButSound) {
   EXPECT_GT(stats.undecided, 0u);
 }
 
+TEST(Fraig, SatConflictsCountEveryQuery) {
+  Aig aig = doubled(make_multiplier(4));
+  FraigStats stats;
+  (void)fraig(aig, {}, &stats);
+  EXPECT_GT(stats.sat_conflicts, 0u);
+  FraigParams capped;
+  capped.conflict_limit = 1;  // each query spends at most one conflict
+  FraigStats capped_stats;
+  (void)fraig(aig, capped, &capped_stats);
+  EXPECT_GT(capped_stats.sat_conflicts, 0u);
+  EXPECT_LE(capped_stats.sat_conflicts, capped_stats.sat_calls);
+}
+
 TEST(Fraig, MaxClassSizeSkipsOversizedClasses) {
   Aig aig = doubled(make_adder(6));
   FraigParams params;

@@ -274,6 +274,33 @@ TEST(Partition, CheckpointKeysTheWindowFraigParams) {
   std::remove(path.c_str());
 }
 
+TEST(Partition, OlderCheckpointVersionIsRefusedAsUnsupported) {
+  // A version-2 file holds window verdicts of the older equivalence gate:
+  // it must fail as an unsupported version, not resume.
+  std::string path = temp_path("version");
+  {
+    SnapshotWriter w;
+    w.header("EMPC", 2);
+    w.varint(0);  // fingerprint
+    std::ofstream out(path, std::ios::binary);
+    out << w.str();
+  }
+  Rng rng(65);
+  Aig aig = testing::random_aig(8, 4, 200, rng);
+  PartitionParams p = test_params(10, 21);
+  p.checkpoint_path = path;
+  try {
+    (void)partition_optimize(aig, p);
+    ADD_FAILURE() << "a version-2 checkpoint was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unsupported partition checkpoint version 2 (expected 3)"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Partition, TornCheckpointTailIsTruncatedAndRecomputed) {
   Rng rng(62);
   Aig aig = testing::random_aig(8, 4, 260, rng);
