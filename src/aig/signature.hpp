@@ -5,11 +5,11 @@
 // since make_and structurally hashes, a candidate extraction rebuilt from
 // the same e-graph choices always reproduces its signature.
 //
-// This is the key of the SA extractor's per-run QoR memo (sa_extractor.cpp):
-// re-visited extractions — common near convergence — skip technology mapping
-// entirely. A 64-bit hash makes collisions vanishingly unlikely at per-run
-// cache sizes (hundreds of entries); the SaMapped tests cross-check cached
-// against recomputed QoR end to end.
+// It fingerprints the circuit in the EMCK (rewrite, flow/pipeline.cpp) and
+// EMPC (partition, opt/partition.cpp) checkpoint headers, and perfbench
+// compares final AIGs by it across repeated passes. No cache hit rests on
+// it: the QoR memo and the flow-result cache key on exact binary-AIGER
+// bytes (util/exact_cache.hpp).
 
 #include <cstdint>
 

@@ -50,8 +50,10 @@ class Extraction {
   /// Sentinel choice index: the class is not part of the solution.
   static constexpr std::uint32_t kNoChoice = 0xffffffffu;
 
+  /// An empty solution (no class slots).
+  Extraction() = default;
   /// A solution over `num_class_slots` classes, all initially unchosen.
-  explicit Extraction(std::size_t num_class_slots = 0)
+  explicit Extraction(std::size_t num_class_slots)
       : choice_(num_class_slots, kNoChoice) {}
 
   /// Has a node been chosen for class `cls`?

@@ -2,19 +2,13 @@
 
 #include <cmath>
 #include <mutex>
+#include <string>
 #include <thread>
-#include <unordered_map>
 
-#include "aig/signature.hpp"
-#include "extract/qor_memo.hpp"
+#include "aig/aig_io.hpp"
 #include "util/timer.hpp"
 
 namespace emorphic {
-
-// The memo of evaluator results keyed by structural signature now lives in
-// extract/qor_memo.hpp so callers can share one across runs (WarmCache);
-// without an external memo, sa_extract still uses a fresh per-run instance.
-
 namespace {
 
 struct ChainResult {
@@ -51,8 +45,7 @@ ChainResult run_chain(unsigned thread_index, const EGraph& egraph,
                       const std::vector<SerializedRoot>& roots,
                       const std::vector<std::string>& pi_names,
                       const QorEvaluator& evaluator, const SaParams& params,
-                      const SaHooks& hooks, std::mutex& hook_mutex,
-                      QorMemo* memo) {
+                      const SaHooks& hooks, std::mutex& hook_mutex) {
   ChainResult result;
   Rng rng(params.seed * 0x9e3779b97f4a7c15ull + thread_index + 1);
 
@@ -80,26 +73,23 @@ ChainResult run_chain(unsigned thread_index, const EGraph& egraph,
       break;
   }
 
+  QorMemo* memo = hooks.qor_memo;
   bool last_was_hit = false;
   auto evaluate = [&](const Extraction& sol) {
     Aig aig = extraction_to_aig(egraph, sol, roots, pi_names).cleanup();
+    std::string key;
+    Qor qor;
     last_was_hit = false;
     if (memo != nullptr) {
-      std::uint64_t key = structural_signature(aig);
-      Qor cached;
-      if (memo->lookup(key, &cached)) {
-        ++result.cache_hits;
-        last_was_hit = true;
-        return cached;
-      }
-      Qor qor = evaluator.evaluate(aig);
-      ++result.evaluations;
-      ++result.cache_misses;
-      memo->insert(key, qor);
-      return qor;
+      key = write_aiger_binary(aig);
+      last_was_hit = memo->lookup(key, &qor);
+      ++(last_was_hit ? result.cache_hits : result.cache_misses);
+      if (last_was_hit) return qor;
     }
     ++result.evaluations;
-    return evaluator.evaluate(aig);
+    qor = evaluator.evaluate(aig);
+    if (memo != nullptr) memo->insert(std::move(key), qor);
+    return qor;
   };
 
   Qor current_qor = evaluate(current);
@@ -180,14 +170,6 @@ SaResult sa_extract(const EGraph& egraph,
   Timer timer;
   unsigned num_threads = std::max(1u, params.num_threads);
 
-  // An external memo (hooks.qor_memo) survives this run — that is the
-  // cache-warmth seam the batch driver and the synthesis service share.
-  QorMemo local_memo;
-  QorMemo* memo_ptr = nullptr;
-  if (params.memoize_qor) {
-    memo_ptr = hooks.qor_memo != nullptr ? hooks.qor_memo : &local_memo;
-  }
-
   std::vector<ChainResult> chains(num_threads);
   {
     std::mutex hook_mutex;
@@ -196,7 +178,7 @@ SaResult sa_extract(const EGraph& egraph,
     for (unsigned t = 0; t < num_threads; ++t) {
       threads.emplace_back([&, t] {
         chains[t] = run_chain(t, egraph, roots, pi_names, evaluator, params,
-                              hooks, hook_mutex, memo_ptr);
+                              hooks, hook_mutex);
       });
     }
     for (auto& th : threads) th.join();
@@ -226,14 +208,15 @@ SaResult sa_extract(const EGraph& egraph,
       dag_refine(egraph, result.best, CostModel{CostKind::kSize}, roots);
   Aig polished_aig =
       extraction_to_aig(egraph, polished, roots, pi_names).cleanup();
+  QorMemo* memo = hooks.qor_memo;
   Qor polished_qor;
-  if (memo_ptr != nullptr &&
-      memo_ptr->lookup(structural_signature(polished_aig), &polished_qor)) {
+  if (memo != nullptr &&
+      memo->lookup(write_aiger_binary(polished_aig), &polished_qor)) {
     ++result.qor_cache_hits;
   } else {
     polished_qor = evaluator.evaluate(polished_aig);
     ++result.evaluations;
-    if (memo_ptr != nullptr) ++result.qor_cache_misses;
+    if (memo != nullptr) ++result.qor_cache_misses;
   }
   double polished_cost = evaluator.cost(polished_qor);
   if (polished_cost < result.best_cost) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "extract/extractor.hpp"
+#include "util/exact_cache.hpp"
 
 namespace emorphic {
 
@@ -61,12 +62,6 @@ struct SaParams {
   unsigned num_threads = 4;         // paper: 4 (quality) / 6 (ML) threads
   std::uint64_t seed = 1;
   bool prune = true;                // solution-space pruning (Fig. 6)
-  /// Memoize evaluator results in a per-run cache keyed by the candidate's
-  /// structural signature (aig/signature.hpp), shared across all chains:
-  /// re-visited extractions — common near convergence — skip mapping
-  /// entirely. Never changes the result (the cached Qor is the evaluator's
-  /// own earlier answer); hit/miss counters land in SaResult.
-  bool memoize_qor = true;
   /// Proxy cost used by the neighbor-generation pass (depth tracks delay).
   CostModel proxy_cost{CostKind::kDepth};
 };
@@ -87,7 +82,7 @@ struct SaTracePoint {
   double current_cost = 0.0;
   /// Metropolis verdict for this move.
   bool accepted = false;
-  /// The candidate's Qor came from the per-run memo, not the evaluator.
+  /// The candidate's Qor came from SaHooks::qor_memo, not the evaluator.
   bool cache_hit = false;
 };
 
@@ -99,9 +94,10 @@ struct SaResult {
   Qor best_qor;
   /// Its scalar cost (QorEvaluator::cost of best_qor).
   double best_cost = 0.0;
-  /// QoR evaluator calls (memo misses).
+  /// QoR evaluator calls. Without a memo: one per chain start, one per
+  /// move, one for the final polish.
   std::size_t evaluations = 0;
-  /// Qor-memo telemetry (zero when SaParams::memoize_qor is off).
+  /// SaHooks::qor_memo lookups of this run (both zero without a memo).
   std::size_t qor_cache_hits = 0;
   std::size_t qor_cache_misses = 0;
   /// Wall clock of the whole extraction.
@@ -112,7 +108,11 @@ struct SaResult {
   std::vector<SaTracePoint> trace;
 };
 
-class QorMemo;  // extract/qor_memo.hpp
+/// Evaluator results keyed by the candidate's write_aiger_binary bytes.
+/// One memo serves ONE deterministic evaluator over ONE cell library: the
+/// bytes encode neither, so WarmCache installs its memo only for the
+/// default evaluator over its own library.
+using QorMemo = ExactCache<Qor>;
 
 /// Progress callbacks for an extraction run (all optional). The flow
 /// pipeline uses them to stream FlowObserver events and to implement
@@ -124,12 +124,13 @@ struct SaHooks {
   /// Polled by every chain before each move; return true to stop all chains
   /// early. Must be thread-safe. The best solution found so far still wins.
   std::function<bool()> stop;
-  /// Optional external QoR memo (extract/qor_memo.hpp). When set (and
-  /// SaParams::memoize_qor is on), chains consult and extend this shared
-  /// memo instead of a fresh per-run one, so repeated structures across
-  /// runs skip mapping. Results are unchanged either way: a cached Qor is
-  /// the evaluator's own deterministic answer. The memo must belong to the
-  /// same evaluator/library configuration as this run (see qor_memo.hpp).
+  /// Optional QoR memo shared across runs (WarmCache::prepare sets it for
+  /// the service and run_batch). When set, chains look every candidate up
+  /// by its exact binary-AIGER bytes and store what they evaluate, so a
+  /// repeated structure skips mapping; without it no key is built. Results
+  /// are unchanged either way: a cached Qor is the evaluator's own
+  /// deterministic answer. The memo must belong to this run's evaluator and
+  /// library (see QorMemo).
   QorMemo* qor_memo = nullptr;
 };
 

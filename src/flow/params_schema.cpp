@@ -83,7 +83,6 @@ constexpr ParamRow<SaParams> kSaRows[] = {
     wire(kNumThreads, &SaParams::num_threads, 0, kMaxThreads),
     internal("seed", &SaParams::seed),
     internal("prune", &SaParams::prune),
-    internal("memoize_qor", &SaParams::memoize_qor),
     internal("proxy_cost", &SaParams::proxy_cost),
 };
 

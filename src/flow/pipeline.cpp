@@ -275,8 +275,8 @@ void SaExtractStage::run(FlowContext& ctx) const {
   SaHooks hooks;
   hooks.stop = [&ctx] { return ctx.should_stop(); };
   // Cross-run QoR memo (WarmCache): only safe with the default evaluator —
-  // the memo caches one evaluator's output per structural signature, and a
-  // custom evaluator would poison / be poisoned by it.
+  // the memo caches one evaluator's output per candidate, and a custom
+  // evaluator would poison / be poisoned by it.
   if (ctx.evaluator == nullptr) hooks.qor_memo = ctx.qor_memo;
   if (ctx.observer != nullptr) {
     hooks.on_move = [&ctx](const SaTracePoint& point) {

@@ -229,7 +229,6 @@ struct FlowResult {
 
 class Stage;
 struct FlowContext;
-class QorMemo;  // extract/qor_memo.hpp
 
 /// Callback interface for flow progress. All methods have empty default
 /// bodies — override what you need. When a pipeline runs inside run_batch,
@@ -271,12 +270,13 @@ struct FlowContext {
   /// External cancellation flag, polled between stages, between rewrite
   /// iterations, and between SA moves.
   std::atomic<bool>* cancel = nullptr;
-  /// Optional shared QoR memo for the SA evaluator (extract/qor_memo.hpp),
-  /// keyed by structural signature: repeated structures across runs skip
-  /// technology mapping. Install one per cell library and per evaluator —
-  /// the memo caches raw evaluator output, so mixing evaluators (or
-  /// libraries) in one memo would serve wrong answers. `WarmCache::prepare`
-  /// wires this for the batch driver and the synthesis service.
+  /// Optional shared QoR memo for the SA evaluator (QorMemo, keyed by each
+  /// candidate's binary AIGER bytes): repeated structures across runs skip
+  /// technology mapping. Without one, SaExtract builds no keys. Install one
+  /// per cell library and per evaluator — the memo caches raw evaluator
+  /// output, so mixing evaluators (or libraries) in one memo would serve
+  /// wrong answers. `WarmCache::prepare` wires this for the batch driver
+  /// and the synthesis service.
   QorMemo* qor_memo = nullptr;
   /// Wall-clock budget for the whole run; 0 = unlimited.
   double time_budget_s = 0.0;

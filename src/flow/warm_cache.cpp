@@ -1,7 +1,8 @@
 #include "flow/warm_cache.hpp"
 
+#include <initializer_list>
+
 #include "aig/aig_io.hpp"
-#include "util/hash.hpp"
 
 namespace emorphic {
 
@@ -32,31 +33,17 @@ void WarmCache::prepare(FlowContext& ctx) {
   }
 }
 
-FlowKey WarmCache::flow_key(const Aig& input, std::uint64_t seed,
-                            std::uint64_t params_fingerprint) {
-  FlowKey key;
-  key.input = write_aiger_binary(input);
-  key.hash = hash_fold(hash_fold(hash_fold(0, key.input), seed),
-                       params_fingerprint);
-  return key;
-}
-
-bool WarmCache::lookup_flow(const FlowKey& key, CachedFlow* out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = flows_.find(key.hash);
-  if (it == flows_.end() || it->second.input != key.input) {
-    ++flow_misses_;
-    return false;
+std::string WarmCache::flow_key(const Aig& input, std::uint64_t seed,
+                                std::uint64_t params_fingerprint) {
+  // The two words have a fixed width, so no two (bytes, seed, fingerprint)
+  // triples concatenate to one key.
+  std::string key = write_aiger_binary(input);
+  for (std::uint64_t word : {seed, params_fingerprint}) {
+    for (int byte = 0; byte < 8; ++byte) {
+      key.push_back(static_cast<char>(word >> (8 * byte)));
+    }
   }
-  ++flow_hits_;
-  *out = it->second;
-  return true;
-}
-
-void WarmCache::insert_flow(const FlowKey& key, CachedFlow cached) {
-  cached.input = key.input;
-  std::lock_guard<std::mutex> lock(mutex_);
-  flows_.emplace(key.hash, std::move(cached));
+  return key;
 }
 
 WarmCacheStats WarmCache::stats() const {
@@ -64,21 +51,19 @@ WarmCacheStats WarmCache::stats() const {
   stats.qor_hits = qor_memo_.hits();
   stats.qor_misses = qor_memo_.misses();
   stats.qor_entries = qor_memo_.size();
+  stats.result_hits = results_.hits();
+  stats.result_misses = results_.misses();
+  stats.result_entries = results_.size();
   std::lock_guard<std::mutex> lock(mutex_);
-  stats.result_hits = flow_hits_;
-  stats.result_misses = flow_misses_;
-  stats.result_entries = flows_.size();
   stats.matchers = matchers_.size();
   return stats;
 }
 
 void WarmCache::clear() {
   qor_memo_.clear();
+  results_.clear();
   std::lock_guard<std::mutex> lock(mutex_);
   matchers_.clear();
-  flows_.clear();
-  flow_hits_ = 0;
-  flow_misses_ = 0;
 }
 
 }  // namespace emorphic

@@ -10,18 +10,19 @@
 //     library, built once and shared (the Matcher is immutable-after-ctor
 //     and thread-safe since PR 3). The match cache itself warms as flows
 //     run, so even *distinct* circuits benefit.
-//  2. qor_memo(): evaluator results keyed by structural signature
-//     (extract/qor_memo.hpp), shared across every SA extraction. Repeated
-//     structures — identical circuits, or different circuits converging on
-//     the same substructures — skip technology mapping entirely.
-//  3. the flow-result cache: complete FlowQor + final AIG keyed by
-//     (input bytes, seed, params fingerprint). The input bytes are its
-//     binary AIGER, structure and names; each entry keeps them and a hit
-//     must match them exactly, so a hash collision is a miss, never a
-//     wrong answer. A repeated request is answered without running the
-//     flow at all. Opt-in per lookup — the service uses it; run_batch
-//     deliberately does not (a batch is usually distinct circuits, and
-//     callers expect fresh telemetry).
+//  2. qor_memo(): evaluator results keyed by each candidate's binary
+//     AIGER bytes, shared across every SA extraction. Repeated structures
+//     — identical circuits, or different circuits converging on the same
+//     substructures — skip technology mapping entirely.
+//  3. results(): complete FlowQor + final AIG keyed by flow_key (the
+//     input's binary AIGER bytes, structure and names, then the seed and
+//     the params fingerprint). A repeated request is answered without
+//     running the flow at all. Opt-in per lookup — the service uses it;
+//     run_batch deliberately does not (a batch is usually distinct
+//     circuits, and callers expect fresh telemetry).
+//
+// Both keyed layers are ExactCaches (util/exact_cache.hpp): a hit needs
+// the whole key to match, so no answer rests on a hash.
 //
 // Sharing any layer never changes results: the matcher is a pure function
 // of the library, the QoR memo caches a deterministic evaluator's own
@@ -29,22 +30,20 @@
 // depends on. The determinism gate in tests/service/test_warm_cache.cpp
 // holds N concurrent flows through one WarmCache bit-identical to serial.
 //
-// One WarmCache serves ONE cell library's QoR memo (the structural
-// signature does not encode the library). prepare() installs the memo only
-// when the context's library matches and no custom evaluator overrides the
-// default MapQorEvaluator; the matcher layer is per-library and always
-// installed.
+// One WarmCache serves ONE cell library's QoR memo (the candidate bytes do
+// not encode the library). prepare() installs the memo only when the
+// context's library matches and no custom evaluator overrides the default
+// MapQorEvaluator; the matcher layer is per-library and always installed.
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "extract/qor_memo.hpp"
 #include "flow/pipeline.hpp"
+#include "util/exact_cache.hpp"
 
 namespace emorphic {
 
@@ -59,13 +58,6 @@ struct WarmCacheStats {
   std::size_t matchers = 0;  // distinct libraries canonized
 };
 
-/// Key of one flow-result cache entry: the hash to look it up under and the
-/// input bytes a hit must match.
-struct FlowKey {
-  std::uint64_t hash = 0;
-  std::string input;  // write_aiger_binary of the flow's input
-};
-
 /// What the flow-result cache stores: enough to answer a service request
 /// (QoR, the optimized network, the verification verdict) without the
 /// mapped netlist (responses ship the AIG as AIGER text).
@@ -73,7 +65,6 @@ struct CachedFlow {
   FlowQor qor;
   Aig final_aig;
   CecStatus verify_status = CecStatus::kUndecided;
-  std::string input;  // the key's input bytes, compared on every hit
 };
 
 class WarmCache {
@@ -99,22 +90,14 @@ class WarmCache {
   /// default evaluator (a custom evaluator's answers must not mix in).
   void prepare(FlowContext& ctx);
 
-  // --- flow-result cache -----------------------------------------------
+  /// The flow-result cache, keyed by flow_key.
+  ExactCache<CachedFlow>& results() { return results_; }
 
-  /// Cache key of a deterministic flow run: the input's binary AIGER
-  /// bytes, the seed, and a caller-provided fingerprint of everything else
-  /// that shapes the result (params + pipeline identity).
-  static FlowKey flow_key(const Aig& input, std::uint64_t seed,
-                          std::uint64_t params_fingerprint);
-
-  /// Look a finished flow up; counts hits/misses. An entry under the same
-  /// hash whose input bytes differ from key.input is a miss.
-  bool lookup_flow(const FlowKey& key, CachedFlow* out);
-
-  /// Store a finished flow with key.input as its input bytes (first writer
-  /// wins on duplicate hashes — for equal inputs both wrote the same
-  /// deterministic result anyway).
-  void insert_flow(const FlowKey& key, CachedFlow cached);
+  /// Key of a deterministic flow run: the input's binary AIGER bytes, then
+  /// the seed and a caller-provided fingerprint of everything else that
+  /// shapes the result (params + pipeline identity), 8 bytes each.
+  static std::string flow_key(const Aig& input, std::uint64_t seed,
+                              std::uint64_t params_fingerprint);
 
   WarmCacheStats stats() const;
 
@@ -128,11 +111,9 @@ class WarmCache {
   // A handful of libraries at most: linear scan beats hashing pointers.
   std::vector<std::pair<const CellLibrary*, std::shared_ptr<const Matcher>>>
       matchers_;
-  std::unordered_map<std::uint64_t, CachedFlow> flows_;
-  std::uint64_t flow_hits_ = 0;
-  std::uint64_t flow_misses_ = 0;
 
   QorMemo qor_memo_;
+  ExactCache<CachedFlow> results_;
 };
 
 }  // namespace emorphic

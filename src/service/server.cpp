@@ -450,7 +450,7 @@ void SynthServer::process(std::shared_ptr<Job> job, FlowContext& ctx) {
 
   if (job->cache_eligible) {
     CachedFlow hit;
-    if (cache_->lookup_flow(job->cache_key, &hit)) {
+    if (cache_->results().lookup(job->cache_key, &hit)) {
       stat_cache_hits_.fetch_add(1, std::memory_order_relaxed);
       stat_completed_.fetch_add(1, std::memory_order_relaxed);
       finish(job, make_result(hit.qor, hit.final_aig, hit.verify_status,
@@ -492,9 +492,9 @@ void SynthServer::process(std::shared_ptr<Job> job, FlowContext& ctx) {
   // final stage (stop_reason without cancelled) still answered, but is not
   // a canonical result worth serving to others.
   if (job->cache_eligible && result.stop_reason == FlowStopReason::kNone) {
-    cache_->insert_flow(job->cache_key,
-                        CachedFlow{result.qor, result.final_aig,
-                                   result.verify_status, {}});
+    cache_->results().insert(
+        job->cache_key,
+        CachedFlow{result.qor, result.final_aig, result.verify_status});
   }
   stat_completed_.fetch_add(1, std::memory_order_relaxed);
   finish(job, make_result(result.qor, result.final_aig, result.verify_status,

@@ -145,7 +145,7 @@ class SynthServer {
     Pipeline pipeline;         // built from the flow factory at admission
     std::atomic<bool> cancel{false};
     Timer admitted;            // deadline_s counts from admission
-    FlowKey cache_key;
+    std::string cache_key;  // WarmCache::flow_key
     bool cache_eligible = false;
   };
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "../test_helpers.hpp"
+#include "aig/aig_io.hpp"
+#include "aig/signature.hpp"
 #include "benchgen/arith.hpp"
+#include "benchgen/control.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
 #include "flow/conversion.hpp"
@@ -120,10 +123,46 @@ TEST_F(SaFixture, PruningStatsAccumulate) {
   EXPECT_GT(pruned.extract_stats.enodes_visited, 0u);
 }
 
+TEST_F(SaFixture, WithoutAMemoEveryCandidateIsEvaluated) {
+  // No SaHooks::qor_memo: no key is built, and the evaluator scores every
+  // chain start, every move and the final polish.
+  ProxyEvaluator eval;
+  SaParams params;
+  params.num_threads = 3;
+  params.iterations = 2;
+  params.moves_per_iteration = 4;
+  SaResult result = sa_extract(ce.egraph, ce.roots, ce.pi_names, eval, params);
+  EXPECT_EQ(result.evaluations, params.num_threads + result.trace.size() + 1);
+  EXPECT_EQ(result.qor_cache_hits, 0u);
+  EXPECT_EQ(result.qor_cache_misses, 0u);
+  for (const SaTracePoint& point : result.trace) EXPECT_FALSE(point.cache_hit);
+}
+
+/// A cold-memo and a warm-memo run through one QorMemo must both match a
+/// run without a memo; every evaluator call of a memo run is a memo miss.
+void expect_memo_runs_match_plain(const SaResult& plain, const SaResult& cold,
+                                  const SaResult& warm) {
+  for (const SaResult* memo : {&cold, &warm}) {
+    EXPECT_DOUBLE_EQ(plain.best_cost, memo->best_cost);
+    EXPECT_DOUBLE_EQ(plain.best_qor.area, memo->best_qor.area);
+    EXPECT_DOUBLE_EQ(plain.best_qor.delay, memo->best_qor.delay);
+    EXPECT_EQ(plain.trace.size(), memo->trace.size());
+    // Same number of candidates were scored; the memo only changes who
+    // answered.
+    EXPECT_EQ(memo->qor_cache_hits + memo->qor_cache_misses,
+              plain.evaluations);
+    EXPECT_EQ(memo->qor_cache_misses, memo->evaluations);
+  }
+  // The warm run re-walks the cold run's trajectory: only the final
+  // polish, which the memo never stores, may reach the evaluator.
+  EXPECT_LE(warm.evaluations, 1u);
+  EXPECT_GT(warm.qor_cache_hits, cold.qor_cache_hits);
+}
+
 TEST_F(SaFixture, MemoizedQorEqualsRecomputedQor) {
-  // The per-run Qor memo must never change the annealing outcome: cached
-  // entries are the evaluator's own earlier answers, keyed by the
-  // candidate's structural signature.
+  // The QoR memo must never change the annealing outcome: cached entries
+  // are the evaluator's own earlier answers, keyed by the candidate's
+  // binary AIGER bytes.
   ProxyEvaluator eval;
   SaParams params;
   params.num_threads = 2;
@@ -131,29 +170,26 @@ TEST_F(SaFixture, MemoizedQorEqualsRecomputedQor) {
   params.moves_per_iteration = 6;
   params.seed = 17;
 
-  params.memoize_qor = false;
   SaResult plain = sa_extract(ce.egraph, ce.roots, ce.pi_names, eval, params);
   EXPECT_EQ(plain.qor_cache_hits, 0u);
   EXPECT_EQ(plain.qor_cache_misses, 0u);
 
-  params.memoize_qor = true;
-  SaResult memo = sa_extract(ce.egraph, ce.roots, ce.pi_names, eval, params);
+  QorMemo memo;
+  SaHooks hooks;
+  hooks.qor_memo = &memo;
+  SaResult cold =
+      sa_extract(ce.egraph, ce.roots, ce.pi_names, eval, params, hooks);
+  SaResult warm =
+      sa_extract(ce.egraph, ce.roots, ce.pi_names, eval, params, hooks);
 
-  EXPECT_DOUBLE_EQ(plain.best_cost, memo.best_cost);
-  EXPECT_DOUBLE_EQ(plain.best_qor.area, memo.best_qor.area);
-  EXPECT_DOUBLE_EQ(plain.best_qor.delay, memo.best_qor.delay);
-  EXPECT_EQ(plain.trace.size(), memo.trace.size());
-  // Same number of candidates were scored; the memo only changes who
-  // answered. Every evaluator call is a memo miss.
-  EXPECT_EQ(memo.qor_cache_hits + memo.qor_cache_misses, plain.evaluations);
-  EXPECT_EQ(memo.qor_cache_misses, memo.evaluations);
-  EXPECT_GT(memo.qor_cache_misses, 0u);
+  expect_memo_runs_match_plain(plain, cold, warm);
+  EXPECT_GT(cold.qor_cache_misses, 0u);
 }
 
 TEST(SaMapped, MemoizedQorEqualsRecomputedOnBenchgenCircuit) {
   // End-to-end variant over the real mapping evaluator on a benchgen
   // circuit: cached Qor == recomputed Qor, and a densely-explored small
-  // e-graph actually produces hits.
+  // e-graph actually produces hits within one run.
   Aig adder = make_adder(5);
   CircuitEGraph ce = aig_to_egraph(adder);
   RunnerParams limits;
@@ -168,21 +204,79 @@ TEST(SaMapped, MemoizedQorEqualsRecomputedOnBenchgenCircuit) {
   params.moves_per_iteration = 10;
   params.seed = 23;
 
-  params.memoize_qor = false;
   SaResult plain = sa_extract(ce.egraph, ce.roots, ce.pi_names, eval, params);
-  params.memoize_qor = true;
-  SaResult memo = sa_extract(ce.egraph, ce.roots, ce.pi_names, eval, params);
+  QorMemo memo;
+  SaHooks hooks;
+  hooks.qor_memo = &memo;
+  SaResult cold =
+      sa_extract(ce.egraph, ce.roots, ce.pi_names, eval, params, hooks);
+  SaResult warm =
+      sa_extract(ce.egraph, ce.roots, ce.pi_names, eval, params, hooks);
 
-  EXPECT_DOUBLE_EQ(plain.best_cost, memo.best_cost);
-  EXPECT_DOUBLE_EQ(plain.best_qor.area, memo.best_qor.area);
-  EXPECT_DOUBLE_EQ(plain.best_qor.delay, memo.best_qor.delay);
-  EXPECT_EQ(memo.qor_cache_hits + memo.qor_cache_misses, plain.evaluations);
-  EXPECT_GT(memo.qor_cache_hits, 0u);
-  EXPECT_LT(memo.evaluations, plain.evaluations);
+  expect_memo_runs_match_plain(plain, cold, warm);
+  EXPECT_GT(cold.qor_cache_hits, 0u);
+  EXPECT_LT(cold.evaluations, plain.evaluations);
 
   // The memoized winner is still a valid extraction of the input.
-  Aig best = egraph_to_aig(ce, memo.best);
+  Aig best = egraph_to_aig(ce, cold.best);
   EXPECT_TRUE(testing::functionally_equal(adder, best));
+}
+
+TEST(QorMemo, ServesAnEntryOnlyForTheExactBytesItWasStoredUnder) {
+  QorMemo memo;
+  memo.insert(write_aiger_binary(make_adder(4)), Qor{1.0, 2.0});
+  Qor out;
+  EXPECT_FALSE(memo.lookup(write_aiger_binary(make_arbiter(4)), &out));
+
+  // Equal structure, other names: one structural signature, two keys.
+  Aig alice = testing::named_full_adder("alice_");
+  Aig bob = testing::named_full_adder("bob_");
+  ASSERT_EQ(structural_signature(alice), structural_signature(bob));
+  memo.insert(write_aiger_binary(alice), Qor{3.0, 4.0});
+  EXPECT_FALSE(memo.lookup(write_aiger_binary(bob), &out));
+
+  ASSERT_TRUE(memo.lookup(write_aiger_binary(make_adder(4)), &out));
+  EXPECT_EQ(out.area, 1.0);
+  EXPECT_EQ(out.delay, 2.0);
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(memo.misses(), 2u);
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(QorMemo, ARenamedCircuitIsNeverServedAnotherCircuitsEntries) {
+  // Through sa_extract: bob_'s run over a memo that alice_'s run warmed
+  // scores exactly what a cold run scores (one chain keeps the hit/miss
+  // split exact), and only then does its repeat hit.
+  ProxyEvaluator eval;
+  SaParams params;
+  params.num_threads = 1;
+  params.iterations = 2;
+  params.moves_per_iteration = 6;
+  auto saturated = [](const Aig& aig) {
+    CircuitEGraph ce = aig_to_egraph(aig);
+    RunnerParams limits;
+    limits.max_iterations = 2;
+    run_rewriting(ce.egraph, make_logic_rules(), limits);
+    return ce;
+  };
+  CircuitEGraph alice = saturated(testing::named_full_adder("alice_"));
+  CircuitEGraph bob = saturated(testing::named_full_adder("bob_"));
+
+  QorMemo memo;
+  SaHooks hooks;
+  hooks.qor_memo = &memo;
+  SaResult a = sa_extract(alice.egraph, alice.roots, alice.pi_names, eval,
+                          params, hooks);
+  std::size_t alice_entries = memo.size();
+  SaResult b =
+      sa_extract(bob.egraph, bob.roots, bob.pi_names, eval, params, hooks);
+  EXPECT_EQ(b.qor_cache_hits, a.qor_cache_hits);
+  EXPECT_EQ(b.qor_cache_misses, a.qor_cache_misses);
+  EXPECT_EQ(memo.size(), 2 * alice_entries);
+
+  SaResult again =
+      sa_extract(bob.egraph, bob.roots, bob.pi_names, eval, params, hooks);
+  EXPECT_GT(again.qor_cache_hits, b.qor_cache_hits);
 }
 
 TEST_F(SaFixture, ZeroCostDeltaKeepsTemperature) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "../test_helpers.hpp"
+#include "aig/aig_io.hpp"
 #include "aig/signature.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
@@ -90,22 +91,22 @@ TEST(WarmCache, ConcurrentMatcherRequestsConverge) {
 TEST(WarmCache, FlowResultCacheHitsAndCounts) {
   WarmCache cache;
   Aig adder = make_adder(4);
-  FlowKey key = WarmCache::flow_key(adder, 1, 42);
+  std::string key = WarmCache::flow_key(adder, 1, 42);
 
   CachedFlow out;
-  EXPECT_FALSE(cache.lookup_flow(key, &out));
+  EXPECT_FALSE(cache.results().lookup(key, &out));
 
   CachedFlow stored;
   stored.qor.area = 12.5;
   stored.qor.delay = 80.0;
   stored.final_aig = adder;
   stored.verify_status = CecStatus::kEquivalent;
-  cache.insert_flow(key, stored);
+  cache.results().insert(key, stored);
 
-  ASSERT_TRUE(cache.lookup_flow(key, &out));
+  ASSERT_TRUE(cache.results().lookup(key, &out));
   EXPECT_DOUBLE_EQ(out.qor.area, 12.5);
   EXPECT_EQ(out.verify_status, CecStatus::kEquivalent);
-  EXPECT_EQ(out.input, key.input);
+  EXPECT_EQ(write_aiger_binary(out.final_aig), write_aiger_binary(adder));
 
   WarmCacheStats stats = cache.stats();
   EXPECT_EQ(stats.result_hits, 1u);
@@ -116,35 +117,35 @@ TEST(WarmCache, FlowResultCacheHitsAndCounts) {
 TEST(WarmCache, FlowKeySeparatesInputsSeedsAndParams) {
   Aig adder = make_adder(4);
   Aig arbiter = make_arbiter(4);
-  std::uint64_t base = WarmCache::flow_key(adder, 1, 42).hash;
-  EXPECT_NE(base, WarmCache::flow_key(arbiter, 1, 42).hash);
-  EXPECT_NE(base, WarmCache::flow_key(adder, 2, 42).hash);
-  EXPECT_NE(base, WarmCache::flow_key(adder, 1, 43).hash);
-  EXPECT_EQ(base, WarmCache::flow_key(make_adder(4), 1, 42).hash);
+  std::string base = WarmCache::flow_key(adder, 1, 42);
+  EXPECT_NE(base, WarmCache::flow_key(arbiter, 1, 42));
+  EXPECT_NE(base, WarmCache::flow_key(adder, 2, 42));
+  EXPECT_NE(base, WarmCache::flow_key(adder, 1, 43));
+  EXPECT_EQ(base, WarmCache::flow_key(make_adder(4), 1, 42));
 
   // Same structure under other names: the served circuit carries the
   // names, so it is another input.
   Aig alice = testing::named_full_adder("alice_");
   Aig bob = testing::named_full_adder("bob_");
   ASSERT_EQ(structural_signature(alice), structural_signature(bob));
-  EXPECT_NE(WarmCache::flow_key(alice, 1, 42).hash,
-            WarmCache::flow_key(bob, 1, 42).hash);
+  EXPECT_NE(WarmCache::flow_key(alice, 1, 42),
+            WarmCache::flow_key(bob, 1, 42));
 }
 
 TEST(WarmCache, LookupVerifiesTheInputBytesOnEveryHit) {
-  // Two inputs that land on one hash (a 64-bit collision, forced here)
-  // must not be served each other's results.
+  // The key holds the whole input, so another input is another key: it
+  // misses, and is never served the stored input's result.
   WarmCache cache;
-  FlowKey stored_key = WarmCache::flow_key(make_adder(4), 1, 42);
+  std::string stored_key = WarmCache::flow_key(make_adder(4), 1, 42);
   CachedFlow stored;
   stored.qor.area = 12.5;
-  cache.insert_flow(stored_key, stored);
+  cache.results().insert(stored_key, stored);
 
-  FlowKey colliding = WarmCache::flow_key(make_arbiter(4), 1, 42);
-  colliding.hash = stored_key.hash;
   CachedFlow out;
-  EXPECT_FALSE(cache.lookup_flow(colliding, &out));
-  EXPECT_TRUE(cache.lookup_flow(stored_key, &out));
+  EXPECT_FALSE(cache.results().lookup(
+      WarmCache::flow_key(make_arbiter(4), 1, 42), &out));
+  EXPECT_TRUE(cache.results().lookup(stored_key, &out));
+  EXPECT_DOUBLE_EQ(out.qor.area, 12.5);
 
   WarmCacheStats stats = cache.stats();
   EXPECT_EQ(stats.result_hits, 1u);
@@ -259,7 +260,8 @@ TEST(WarmCache, WorkerContextReuseIsFlatAndDeterministic) {
 TEST(WarmCache, ClearResetsEverything) {
   WarmCache cache;
   cache.matcher_for(CellLibrary::asap7_like());
-  cache.insert_flow(WarmCache::flow_key(make_adder(4), 1, 42), CachedFlow{});
+  cache.results().insert(WarmCache::flow_key(make_adder(4), 1, 42),
+                         CachedFlow{});
   cache.clear();
   WarmCacheStats stats = cache.stats();
   EXPECT_EQ(stats.matchers, 0u);
