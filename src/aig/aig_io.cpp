@@ -36,7 +36,8 @@ std::string write_equations(const Aig& aig) {
     if (aig.is_pi(v)) {
       base = aig.pi_name(aig.pi_index(v));
     } else {
-      base = "n" + std::to_string(v);
+      base = "n";
+      base += std::to_string(v);
     }
     return lit_is_compl(l) ? "!" + base : base;
   };

@@ -39,6 +39,15 @@ bool lex_improves(std::uint32_t depth, double flow, const LutMatch& slot) {
   return flow < slot.area_flow;
 }
 
+/// "n<v><suffix>". Appending, rather than `"n" + std::to_string(v)`, keeps
+/// GCC 12's -Wrestrict false positive on string concatenation away.
+std::string net_name(Var v, const char* suffix = "") {
+  std::string name = "n";
+  name += std::to_string(v);
+  name += suffix;
+  return name;
+}
+
 }  // namespace
 
 // --- LutNetwork --------------------------------------------------------------
@@ -424,7 +433,7 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
       lut.inputs[j] = leaf_net(cut.leaves[j]);
     }
     lut.tt = cut.tt & tt_mask(cut.size);
-    lut.output = out.add_net("n" + std::to_string(v));
+    lut.output = out.add_net(net_name(v));
     net[v] = lut.output;
     out.add_lut(std::move(lut));
     stack.pop_back();
@@ -447,7 +456,7 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
       MappedLut inv;
       inv.inputs = {net[r]};
       inv.tt = tt_not(tt_var(0, 1), 1);
-      inv.output = out.add_net("n" + std::to_string(r) + "_b");
+      inv.output = out.add_net(net_name(r, "_b"));
       inv_net[r] = inv.output;
       out.add_lut(std::move(inv));
       po_net = inv_net[r];
@@ -461,7 +470,7 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
         assert(dup.inputs[j] != kNoNet);
       }
       dup.tt = tt_not(cut.tt, cut.size);
-      dup.output = out.add_net("n" + std::to_string(r) + "_b");
+      dup.output = out.add_net(net_name(r, "_b"));
       inv_net[r] = dup.output;
       out.add_lut(std::move(dup));
       po_net = inv_net[r];

@@ -350,7 +350,8 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
   for (Lit po : aig.pos()) need(lit_var(po), lit_is_compl(po) ? 1 : 0);
 
   auto net_name_for = [&](Var v, int p) {
-    std::string name = "n" + std::to_string(v);
+    std::string name = "n";
+    name += std::to_string(v);
     if (p == 1) name += "_b";
     return name;
   };

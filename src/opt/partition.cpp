@@ -245,8 +245,13 @@ std::vector<Window> build_windows(const Aig& aig,
 Aig extract_window(const Aig& aig, const Window& window) {
   Aig sub;
   std::vector<Lit> map(aig.num_nodes(), kLitFalse);
+  auto name = [](Var v) {
+    std::string s = "v";
+    s += std::to_string(v);
+    return s;
+  };
   for (Var in : window.inputs) {
-    map[in] = make_lit(sub.add_pi("v" + std::to_string(in)));
+    map[in] = make_lit(sub.add_pi(name(in)));
   }
   auto translate = [&map](Lit l) {
     return lit_notcond(map[lit_var(l)], lit_is_compl(l));
@@ -255,7 +260,7 @@ Aig extract_window(const Aig& aig, const Window& window) {
     map[v] = sub.make_and(translate(aig.fanin0(v)), translate(aig.fanin1(v)));
   }
   for (Var out : window.outputs) {
-    sub.add_po(map[out], "v" + std::to_string(out));
+    sub.add_po(map[out], name(out));
   }
   return sub;
 }

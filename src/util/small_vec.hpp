@@ -158,7 +158,10 @@ class SmallVec {
       heap_ = nullptr;
       capacity_ = N;
       size_ = other.size_;
-      std::memcpy(inline_ptr(), other.inline_ptr(), size_ * sizeof(T));
+      // Whole inline buffer: a fixed length, which GCC 12 cannot mistake
+      // for an overflow as it does `size_ * sizeof(T)` (-Wstringop-overflow).
+      std::memcpy(inline_storage_, other.inline_storage_,
+                  sizeof(inline_storage_));
       other.size_ = 0;
     }
   }
